@@ -3,32 +3,40 @@
 // word in service/c2store.h.
 //
 // The paper's §3.2 snapshot packs bounded per-process components into ONE
-// fetch&add register so a scan is a single FAA(0) read — the whole point is
-// that a multi-word collect cannot be strongly linearizable (the service's
-// double-collect refutations, pinned in tests/service_sim_test.cpp, are the
-// mechanised record). For a SUM the packing degenerates beautifully: addition
-// is both the per-component update AND the cross-component combiner, so the
-// per-lane components can share one accumulator word outright — every
+// fetch&add register so a scan is a single read of that word — the whole
+// point is that a multi-word collect cannot be strongly linearizable (the
+// service's double-collect refutations, pinned in tests/service_sim_test.cpp,
+// are the mechanised record). For a SUM the packing degenerates beautifully:
+// addition is both the per-component update AND the cross-component combiner,
+// so the per-lane components can share one accumulator word outright — every
 // counter_add contributes fetch_add(1) to the same 64-bit word, and the sum
-// read is one fetch_add(0). Each operation is a single hardware atomic on the
-// word, i.e. a fixed own-step linearization point, hence prefix-closed:
-// strongly linearizable by construction. 63 bits of total bound the digest
-// (~9.2e18 adds — not a reachable program state), so unlike the max digest
-// there is no per-lane width budget to configure.
+// read is one seq_cst load of it (a read step, the sim's FetchAddInt::read;
+// no RMW). Each operation is a single hardware atomic on the word, in the one
+// total order S of seq_cst operations, i.e. a fixed own-step linearization
+// point, hence prefix-closed: strongly linearizable by construction. 63 bits
+// of total bound the digest (~9.2e18 adds — not a reachable program state),
+// so unlike the max digest there is no per-lane width budget to configure.
 //
 // The per-lane components are still REAL and still per-lane: each lane also
-// counts its own contributions in a private FAA cell on a SegmentedArray
-// spine (cache-line padded, single-writer, published with the pinned
-// claim-TAS → init → register-write pattern — see runtime/segmented_array.h).
-// They are deliberately NOT on the sum read path — reading them one by one
-// would be exactly the collect the checker refutes. They exist because the
-// decomposition is useful anyway:
+// counts its own contributions in a private cell on a SegmentedArray spine
+// (cache-line padded, single-writer, published with the pinned claim-TAS →
+// init → register-write pattern — see runtime/segmented_array.h). The cell is
+// a plain register: relaxed load + relaxed store by its one owner, no RMW.
+// The cells are deliberately NOT on the sum read path — reading them one by
+// one would be exactly the collect the checker refutes. They exist because
+// the decomposition is useful anyway:
 //   * diagnostics/introspection (who produced the traffic), exposed upward as
 //     C2Store::lane_counter_adds();
-//   * a testable conservation invariant: add() bumps the OWN LANE CELL FIRST
-//     and the total word second, so at every instant
+//   * a testable conservation invariant: add() stores the OWN LANE CELL FIRST
+//     and fetch&adds the total second, so a reader that reads the total and
+//     THEN the lane cells always sees
 //         read() <= sum over lanes of lane_contribution(lane)
-//     (the total never leads the components), with equality at quiescence;
+//     (the total never leads the components), with equality at quiescence.
+//     The cell store is sequenced before the total's seq_cst (hence release)
+//     fetch_add, every later fetch_add on the total continues its release
+//     sequence, and the reader's seq_cst (hence acquire) load of the total
+//     synchronizes with it — so the cell store happens before the reader's
+//     cell loads;
 //   * the future shard-rebalancing item (ROADMAP) wants per-producer digests
 //     whose migration can be replayed component-wise.
 //
@@ -56,20 +64,21 @@ class CounterSumDigest {
   /// the operation's linearization point (a fixed own-step).
   void add(int lane) {
     C2SL_CHECK(lane >= 0, "lane must be non-negative");
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — lane component write; must precede the total
-    lanes_.cell(static_cast<size_t>(lane)).v.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic<int64_t>& c = lanes_.cell(static_cast<size_t>(lane)).v;
+    // Published to total-first readers by the total's fetch_add below.
+    // c2sl-atomic: store relaxed, load relaxed — single-writer lane cell
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     C2SL_TEL_PRIM_FAA();
     // c2sl-atomic: faa seq_cst — linearization point of add (fixed own-step)
     total_.fetch_add(1, std::memory_order_seq_cst);
   }
 
-  /// The digest read: one FAA(0) on the total word — wait-free, strongly
-  /// linearizable (the §3.2 single-word-scan move, degenerate sum form).
-  int64_t read() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) read IS the digest's atomic scan step
-    return total_.fetch_add(0, std::memory_order_seq_cst);
+  /// The digest read: one seq_cst load of the total word — wait-free,
+  /// strongly linearizable (the §3.2 single-word-scan move, degenerate sum
+  /// form). Acquire as well: lane cells read after it see every add it counts.
+  int64_t read() const {
+    // c2sl-atomic: load seq_cst — read step; the digest's atomic scan step
+    return total_.load(std::memory_order_seq_cst);
   }
 
   /// Contributions recorded by `lane` (diagnostics; never on the sum path).
@@ -84,6 +93,7 @@ class CounterSumDigest {
  private:
   /// Padded so neighbouring lanes never share a cache line (each cell is
   /// single-writer; the padding keeps the write path truly uncontended).
+  /// Atomic only so the diagnostic reader is well-defined.
   struct alignas(64) LaneCell {
     std::atomic<int64_t> v{0};
   };

@@ -19,10 +19,12 @@
 //   * every keyed write appends one immutable entry to a ticket-indexed
 //     journal — the ticket fetch&add on the tail word IS the write's
 //     linearization point (fixed own-step);
-//   * a snapshot reads the tail once with FAA(0) — its linearization point —
-//     and deterministically REPLAYS entries below that ticket into per-shard
-//     accumulators. Two snapshots that read the same tail return identical
-//     vectors; prefix closure holds because every op's point is its own step.
+//   * a snapshot reads the tail once with a seq_cst load — its linearization
+//     point, one read step in the same total order S as the ticket
+//     fetch&adds (no RMW) — and deterministically REPLAYS entries below that
+//     ticket into per-shard accumulators. Two snapshots that read the same
+//     tail return identical vectors; prefix closure holds because every op's
+//     point is its own step.
 //
 // The tail word doubles as the "version digest" of the ISSUE: it advances by
 // exactly one per keyed write, so it bounds the replay the way the per-key
@@ -97,12 +99,11 @@ class KeyedVersionDigest {
     return t;
   }
 
-  /// The version-digest read: one FAA(0) on the tail — wait-free, and the
-  /// linearization point of any snapshot that replays up to the result.
-  int64_t version() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) read IS the snapshot's atomic step
-    return tail_.fetch_add(0, std::memory_order_seq_cst);
+  /// The version-digest read: one seq_cst load of the tail — wait-free, and
+  /// the linearization point of any snapshot that replays up to the result.
+  int64_t version() const {
+    // c2sl-atomic: load seq_cst — read step; the snapshot's linearization point
+    return tail_.load(std::memory_order_seq_cst);
   }
 
   /// Entry at `ticket` (< some tail read). Spins until the ticket owner's

@@ -9,7 +9,10 @@
 // Thread i owns global bits i, n+i, 2n+i, ...; only the owner adds to its lane
 // bits, so fetch_add never carries across lanes. write_max of a non-larger
 // value still issues fetch_add(0), mirroring the simulated algorithm (§3.1
-// step 1).
+// step 1). read_max is one seq_cst load of the word: a read step, not an RMW,
+// exactly the sim's FetchAddInt::read, and in the same total order S as the
+// writers' seq_cst fetch_adds (docs/PROOFS.md, "Memory orders as proof
+// obligations").
 #pragma once
 
 #include <atomic>
@@ -51,10 +54,10 @@ class NativeMaxRegister64 {
     cell.prev = k;
   }
 
-  int64_t read_max() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots the whole word
-    uint64_t snapshot = reg_.fetch_add(0, std::memory_order_seq_cst);
+  int64_t read_max() const {
+    // One step on the whole word, in the same total order S as the writers.
+    // c2sl-atomic: load seq_cst — read step; linearization point of ReadMax
+    uint64_t snapshot = reg_.load(std::memory_order_seq_cst);
     int64_t best = 0;
     for (int i = 0; i < n_; ++i) {
       best = std::max(best, lane_value(snapshot, i));

@@ -4,7 +4,9 @@
 // (n * lane_bits <= 64). Update computes posAdj − negAdj in two's-complement;
 // because the owner is the only writer of its lane bits, additions never carry
 // and subtractions never borrow across lanes, so the wrap-around arithmetic
-// flips exactly the intended bits (same argument as the BigInt version).
+// flips exactly the intended bits (same argument as the BigInt version). A
+// scan is one seq_cst load of the word: a read step, the sim's
+// FetchAddInt::read, not an RMW.
 #pragma once
 
 #include <atomic>
@@ -38,10 +40,10 @@ class NativeSnapshot64 {
     cell.prev = next;
   }
 
-  std::vector<int64_t> scan() {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — FAA(0) atomically snapshots every component
-    uint64_t snapshot = reg_.fetch_add(0, std::memory_order_seq_cst);
+  std::vector<int64_t> scan() const {
+    // One step on every component at once.
+    // c2sl-atomic: load seq_cst — read step; linearization point of Scan
+    uint64_t snapshot = reg_.load(std::memory_order_seq_cst);
     std::vector<int64_t> view(static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
       view[static_cast<size_t>(i)] = static_cast<int64_t>(extract(snapshot, i));

@@ -281,7 +281,7 @@ int64_t C2Store::counter_sum_scan() {
 // accumulators. Deterministic: entry content is fixed at ticket time, so every
 // replayer that reaches `tail` computes the same vectors regardless of how its
 // cursor got there — which is what makes two same-tail snapshots identical and
-// the FAA(0) tail read a legitimate linearization point. Bucket indices are
+// the seq_cst tail load a legitimate linearization point. Bucket indices are
 // INITIAL-mask for every entry kind (the snapshot facet is epoch-independent),
 // so no entry can ever index outside the fixed accumulator vectors.
 void C2Store::replay_journal(detail::SnapReplay& r, int64_t tail) {
@@ -318,9 +318,8 @@ int C2Store::initialized_shards() const {
 }
 
 tel::MetricsSnapshot C2Store::metrics_snapshot() const {
-  // Telemetry core first (the strongly linearizable ops-total digest read
-  // plus the racy lane scans), then the session-layer counters the registry
-  // and handoff queue already expose.
+  // Telemetry core first (the racy lane scans, ops_total among them), then
+  // the session-layer counters the registry and handoff queue already expose.
   tel::MetricsSnapshot s = tel_.snapshot(cfg_.max_threads, shard_count());
   s.lane_tickets = lane_tickets_issued();
   s.handoff_enqueued = lane_handoff_enqueued();

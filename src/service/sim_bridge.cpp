@@ -148,35 +148,32 @@ Val SimCounterSumDigest::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
   return unit();
 }
 
-// --- SimTelemetryCounter (the telemetry ops-total digest) -------------------
+// --- SimTelemetryCounter (the telemetry ops-total lane sum) -----------------
 
 SimTelemetryCounter::SimTelemetryCounter(sim::World& world, std::string name,
-                                         int lanes, bool scan_read)
-    : name_(std::move(name)), lanes_(lanes), scan_read_(scan_read) {
+                                         int lanes)
+    : name_(std::move(name)), lanes_(lanes) {
   C2SL_CHECK(lanes >= 1, "need at least one lane");
   cells_ = world.add<prim::RegArray>(name_ + ".cells");
-  digest_ = world.add<prim::FetchAddInt>(name_ + ".digest");
 }
 
 void SimTelemetryCounter::inc(sim::Ctx& ctx) {
-  // Lane cell FIRST (plain register read+write; the cell is single-owner, so
-  // this is exactly LaneTelemetry::bump's relaxed load/store pair), digest
-  // second — the Inc linearizes at its own digest fetch&add step.
+  // Plain register read + write on the caller's own cell: the cell is
+  // single-owner, so this is exactly LaneTelemetry::bump's relaxed load/store
+  // pair. No shared word.
   C2SL_CHECK(ctx.self >= 0 && ctx.self < lanes_, "caller is not a lane owner");
   prim::RegArray& cells = ctx.world->get(cells_);
   size_t lane = static_cast<size_t>(ctx.self);
   Val cur = cells.read(ctx, lane);
   int64_t next = (std::holds_alternative<int64_t>(cur) ? as_num(cur) : 0) + 1;
   cells.write(ctx, lane, num(next));
-  ctx.world->get(digest_).fetch_add(ctx, 1);
 }
 
 int64_t SimTelemetryCounter::read(sim::Ctx& ctx) {
-  if (!scan_read_) return ctx.world->get(digest_).read(ctx);  // one FAA(0)
-  // Negative control: naive one-pass sum over the lane cells, the read
-  // StoreTelemetry::ops_total_scan performs. Linearizable here (each cell is
-  // monotone and single-writer) but NOT strongly linearizable — the checker
-  // refutes it (tests/telemetry_test.cpp pins the verdict).
+  // One-pass sum over the lane cells, the read StoreTelemetry::snapshot
+  // performs for ops_total. Linearizable here (each cell is monotone and
+  // single-writer) but NOT strongly linearizable — the checker refutes it
+  // (tests/telemetry_test.cpp pins the verdict).
   int64_t sum = 0;
   for (int lane = 0; lane < lanes_; ++lane) {
     Val v = ctx.world->get(cells_).read(ctx, static_cast<size_t>(lane));

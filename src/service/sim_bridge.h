@@ -167,25 +167,21 @@ class SimCounterSumDigest : public core::ConcurrentObject {
   sim::Handle<prim::FetchAddInt> digest_;
 };
 
-/// Sim twin of the telemetry ops-total counter (telemetry/telemetry.h): each
+/// Sim twin of the telemetry ops-total count (telemetry/telemetry.h): each
 /// lane (== calling process here) keeps its running op count in a single-owner
-/// plain REGISTER cell, and every Inc also fetch&adds one shared digest word —
-/// exactly the LaneTelemetry::bump + StoreTelemetry::bump_ops_total pair. Read
-/// is a single digest FAA(0) (the verified configuration behind
-/// metrics_snapshot().ops_total) or, with `scan_read`, the naive one-pass sum
-/// over the lane cells — the pinned-REFUTED negative control: a reader that
-/// has scanned cell 0 as empty cannot commit its return value at any own step,
-/// because whether a completed Inc counts depends on cells it will only read
-/// in the future, so no prefix-closed linearization exists. This is why the
-/// native snapshot serves ops_total from the digest and exports the lane scan
-/// only as the documented-racy `ops_total_scan` diagnostic.
+/// plain REGISTER cell — exactly LaneTelemetry's relaxed load/store bump — and
+/// Read is the one-pass sum over the lane cells that MetricsSnapshot::ops_total
+/// is. The pinned REFUTED statement: a reader that has scanned cell 0 as empty
+/// cannot commit its return value at any own step, because whether a
+/// completed Inc counts depends on cells it will only read in the future, so
+/// no prefix-closed linearization exists. ops_total is therefore linearizable
+/// only, and stays a diagnostic — never a decision input.
 class SimTelemetryCounter : public core::ConcurrentObject {
  public:
-  SimTelemetryCounter(sim::World& world, std::string name, int lanes,
-                      bool scan_read = false);
+  SimTelemetryCounter(sim::World& world, std::string name, int lanes);
 
-  void inc(sim::Ctx& ctx);      ///< lane-cell register write, then digest FAA
-  int64_t read(sim::Ctx& ctx);  ///< digest FAA(0), or one-pass lane-cell sum
+  void inc(sim::Ctx& ctx);      ///< lane-cell register read + write
+  int64_t read(sim::Ctx& ctx);  ///< one-pass lane-cell sum
 
   std::string object_name() const override { return name_; }
   Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
@@ -193,9 +189,7 @@ class SimTelemetryCounter : public core::ConcurrentObject {
  private:
   std::string name_;
   int lanes_;
-  bool scan_read_;
-  sim::Handle<prim::RegArray> cells_;     ///< per-lane counts, single writer
-  sim::Handle<prim::FetchAddInt> digest_; ///< the ops-total FAA digest
+  sim::Handle<prim::RegArray> cells_;  ///< per-lane counts, single writer
 };
 
 /// Sim twin of the write journal behind C2Session::snapshot()

@@ -40,11 +40,8 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
   w.field("source", source);
   w.field("telemetry_enabled", snap.enabled);
   w.field("lanes", snap.lanes);
-  // The exact, strongly linearizable digest read next to the racy lane-scan
-  // estimate: the pair is the PR's thesis in one snapshot (the two may
-  // legitimately differ while writers are in flight).
+  // Sum of op_counts from the same racy lane pass: exact at quiescence.
   w.field("ops_total", snap.ops_total);
-  w.field("ops_total_scan", snap.ops_total_scan);
 
   w.key("op_counts");
   w.begin_object();
@@ -84,7 +81,8 @@ std::string to_json(const MetricsSnapshot& snap, std::string_view source) {
 
   // Per-shard heat: keyed ops per routing bucket (lane-scan, racy like
   // op_counts) plus the max-over-mean skew ratio. Aggregate ops carry no
-  // shard, so the bucket sum is <= ops_total (metrics_diff checks this).
+  // shard, so at quiescence the bucket sum is <= ops_total (metrics_diff
+  // checks this on quiesced snapshots; live, the heat may lead).
   w.key("shard_ops");
   w.begin_array();
   for (uint64_t c : snap.shard_ops) w.value(c);
@@ -127,14 +125,10 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   line("c2sl_telemetry_enabled %d", snap.enabled ? 1 : 0);
   if (!snap.enabled) return out;
 
-  line("# HELP c2sl_ops_total Exact instrumented-op count (strongly "
-       "linearizable FAA-digest read).");
+  line("# HELP c2sl_ops_total Instrumented-op count: racy per-lane sum, "
+       "exact at quiescence (see docs/PROOFS.md).");
   line("# TYPE c2sl_ops_total counter");
-  line("c2sl_ops_total %" PRId64, snap.ops_total);
-  line("# HELP c2sl_ops_scan Racy per-lane scan estimate of the same count "
-       "(merely linearizable; see docs/PROOFS.md).");
-  line("# TYPE c2sl_ops_scan counter");
-  line("c2sl_ops_scan %" PRIu64, snap.ops_total_scan);
+  line("c2sl_ops_total %" PRIu64, snap.ops_total);
 
   line("# TYPE c2sl_op_count counter");
   for (int k = 0; k < kTelOpCount; ++k) {

@@ -12,8 +12,8 @@
 // load + relaxed store on a private cache line: a plain register write in the
 // paper's taxonomy, no RMW. Readers scan the cells racily; a histogram is an
 // approximate object by nature and the racy read loses at most in-flight
-// increments (the strongly linearizable telemetry facet is the ops-total
-// digest in telemetry.h, NOT these buckets — see docs/PROOFS.md).
+// increments. No telemetry number is a decision input, so none needs strong
+// linearizability (see docs/PROOFS.md, "The metrics digest").
 //
 // Buckets are powers of two: bucket 0 holds <= 0ns (clock glitches), bucket
 // b >= 1 holds [2^(b-1), 2^b) ns. 64 value buckets cover the full int64 range;

@@ -104,15 +104,17 @@ TEST(C2StoreStress, CounterSumConservation) {
 }
 
 // counter_sum() digest reads racing counter_add traffic: per observer thread
-// the sum must be monotone (the digest word only grows) and never exceed the
-// number of incs started; at quiescence digest, scan and per-lane components
-// must all agree. (TSAN watches the digest word and the per-lane cells.)
+// the sum must be monotone (the digest word only grows), never exceed the
+// number of incs started, and never lead the per-lane components read after
+// it; at quiescence digest, scan and per-lane components must all agree.
+// (TSAN watches the digest word and the per-lane cells.)
 TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   const int threads = 4;
   const int per_thread = 300;
   svc::C2Store store(stress_config(threads));
   auto sessions = open_sessions(store, threads);
   std::atomic<bool> ok{true};
+  std::atomic<bool> leads{false};
   std::vector<Rng> rngs;
   for (int t = 0; t < threads; ++t) rngs.emplace_back(4200 + t);
   std::vector<int64_t> last_seen(static_cast<size_t>(threads), 0);
@@ -123,6 +125,15 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
       int64_t sum = store.counter_sum();
       if (sum < last_seen[0] || sum > inc_threads * per_thread) ok.store(false);
       last_seen[0] = sum;
+      // The total never leads its components: each add stores its lane cell
+      // before its release fetch_add on the total, and the seq_cst read above
+      // acquires every add it counts — so lane cells read AFTER the total
+      // account for at least that many adds, writers still running.
+      int64_t lanes_after = 0;
+      for (int l = 0; l < store.config().max_threads; ++l) {
+        lanes_after += store.lane_counter_adds(l);
+      }
+      if (sum > lanes_after) leads.store(true);
     } else {
       sessions[static_cast<size_t>(t)].counter_inc(
           rngs[static_cast<size_t>(t)].next_below(64));
@@ -130,6 +141,8 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
     return op;
   });
   EXPECT_TRUE(ok.load()) << "digest read non-monotone or out of bounds";
+  EXPECT_FALSE(leads.load())
+      << "counter_sum() led the lane components read after it";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
   EXPECT_EQ(store.counter_sum_scan(), inc_threads * per_thread);
   int64_t lanes_total = 0;

@@ -1,14 +1,12 @@
 // The telemetry layer's verification story, in three acts:
 //
-//  1. CHECKER (sim twin, svc::SimTelemetryCounter): the ops-total digest —
-//     lane-local plain-register cells plus one shared FAA word — serves reads
-//     as a single FAA(0) and IS strongly linearizable on the full execution
-//     tree; the naive one-pass lane-cell scan read is REFUTED (pinned negative
-//     control). This is the §3.2 pack-into-one-FAA-word argument applied to
-//     the telemetry facet itself: the one metric an adaptive test oracle may
-//     branch on (ops_total) must not be gameable by the scheduler.
+//  1. CHECKER (sim twin, svc::SimTelemetryCounter): ops_total is a one-pass
+//     sum over lane-local plain-register cells, and the checker REFUTES its
+//     strong linearizability (pinned statement). ops_total is linearizable
+//     only, exact at quiescence, and a diagnostic — never a decision input;
+//     the strongly linearizable aggregates are the store's digests.
 //
-//  2. NATIVE exactness: on a live C2Store, op-kind counters and the digest
+//  2. NATIVE exactness: on a live C2Store, op-kind counters and ops_total
 //     count every instrumented op exactly (single-threaded), the flight
 //     recorder retains the last-N ops in order, open-session waits land in the
 //     open_wait histogram, and the exporters emit well-formed c2sl-metrics-v1
@@ -51,51 +49,16 @@ verify::StrongLinResult check(const sim::ScenarioFn& scenario, int n,
   return verify::check_strong_linearizability(tree, spec, slopts);
 }
 
-TEST(TelemetrySim, DigestReadStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/false);
-  };
-  // Two concurrent instrumented ops (lane cell write + digest FAA) and a
-  // metrics reader: the reader's FAA(0) is its own fixed linearization point.
-  auto scenario = testing::fixed_scenario(
-      factory,
-      {{{"Inc", unit(), 0}}, {{"Inc", unit(), 1}}, {{"Read", unit(), 2}}});
-  verify::CounterSpec spec;
-  auto res = check(scenario, 3, spec, "tops");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
-}
-
-TEST(TelemetrySim, DigestIncReadRaceStronglyLinearizable) {
-  auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/false);
-  };
-  // Reader racing back-to-back bumps on one lane: reads must keep their fixed
-  // FAA(0) points through the window where the writer sits between its lane
-  // cell write and its digest step.
-  auto scenario = testing::fixed_scenario(
-      factory, {{{"Inc", unit(), 0}, {"Inc", unit(), 0}},
-                {{"Read", unit(), 1}, {"Read", unit(), 1}}});
-  verify::CounterSpec spec;
-  auto res = check(scenario, 2, spec, "tops");
-  ASSERT_TRUE(res.decided);
-  EXPECT_TRUE(res.strongly_linearizable) << res.report;
-}
-
-// PINNED NEGATIVE CONTROL: the same object, read by the naive one-pass scan
-// over the lane cells (what StoreTelemetry::ops_total_scan does). Each cell is
-// monotone and single-writer, so the scan is linearizable — but a reader that
-// already scanned lane 0 as empty cannot commit a return value at any of its
-// own steps: whether the completed Inc on lane 0 counts depends on what the
-// read finds in lane 1 LATER, so no prefix-closed assignment exists. If this
-// verdict ever flips, metrics_snapshot() may as well serve ops_total from the
-// scan — the digest word would be dead weight.
+// PINNED STATEMENT: ops_total is the one-pass scan over the lane cells (what
+// StoreTelemetry::snapshot computes). Each cell is monotone and single-writer,
+// so the scan is linearizable — but a reader that already scanned lane 0 as
+// empty cannot commit a return value at any of its own steps: whether the
+// completed Inc on lane 0 counts depends on what the read finds in lane 1
+// LATER, so no prefix-closed assignment exists. That is why ops_total is a
+// diagnostic and never a decision input.
 TEST(TelemetrySim, LaneScanReadNotStronglyLinearizable) {
   auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n,
-                                                      /*scan_read=*/true);
+    return std::make_shared<svc::SimTelemetryCounter>(w, "tops", n);
   };
   auto scenario = testing::fixed_scenario(
       factory,
@@ -105,7 +68,7 @@ TEST(TelemetrySim, LaneScanReadNotStronglyLinearizable) {
   ASSERT_TRUE(res.decided);
   EXPECT_FALSE(res.strongly_linearizable)
       << "the one-pass lane scan verified strongly linearizable — the pinned "
-         "refutation (the reason ops_total reads the FAA digest) is gone";
+         "refutation (the reason ops_total is a diagnostic only) is gone";
 }
 
 // --- 2. native exactness ----------------------------------------------------
@@ -152,10 +115,9 @@ TEST(TelemetryNative, CountsEveryInstrumentedOpExactly) {
   EXPECT_EQ(count(tel::TelOp::kGlobalMax), 1u);
   EXPECT_EQ(count(tel::TelOp::kCounterSum), 1u);
   EXPECT_EQ(count(tel::TelOp::kSessionOpen), 1u);
-  // The digest saw every instrumented op (21 = the sum above); with all
-  // sessions closed the racy lane scan has quiesced to the same value.
-  EXPECT_EQ(m.ops_total, 21);
-  EXPECT_EQ(m.ops_total_scan, 21u);
+  // With all sessions closed the racy lane scan has quiesced: ops_total counts
+  // every instrumented op (21 = the sum above).
+  EXPECT_EQ(m.ops_total, 21u);
   // `lanes` counts materialised lane BLOCKS (the segmented spine materialises
   // whole segments), not sessions: at least the one used lane, at most all.
   EXPECT_GE(m.lanes, 1);
@@ -255,15 +217,17 @@ TEST(TelemetryNative, SnapshotRacesCleanlyWithWriters) {
     });
   }
   // Concurrent snapshot reader: racy by design, must be TSAN-clean and
-  // internally consistent (the digest never trails a quiesced scan).
+  // internally consistent (ops_total is the sum of op_counts of one pass).
   for (int r = 0; r < 50; ++r) {
     tel::MetricsSnapshot m = store.metrics_snapshot();
-    EXPECT_GE(m.ops_total, 0);
+    uint64_t sum = 0;
+    for (uint64_t c : m.op_counts) sum += c;
+    EXPECT_EQ(m.ops_total, sum);
   }
   for (std::thread& w : workers) w.join();
   tel::MetricsSnapshot m = store.metrics_snapshot();
   // kOps incs + 1 session_open per thread, exactly.
-  EXPECT_EQ(m.ops_total, kThreads * (kOps + 1));
+  EXPECT_EQ(m.ops_total, static_cast<uint64_t>(kThreads) * (kOps + 1));
   EXPECT_EQ(m.op_counts[static_cast<int>(tel::TelOp::kCounterInc)],
             static_cast<uint64_t>(kThreads) * kOps);
 }

@@ -8,16 +8,20 @@ Validation checks the snapshot's structural invariants, not just its shape:
 
   * schema == "c2sl-metrics-v1", source present, telemetry_enabled boolean.
   * op_counts covers every known op kind with non-negative integers.
-  * ops_total (the strongly linearizable digest read) >= 0; on a QUIESCED
-    snapshot — every producer writes them after its workers joined — the racy
-    lane scan must agree: ops_total == ops_total_scan. --in-flight relaxes
-    that to scan <= total (writers between their lane cell and digest steps).
+  * ops_total >= 0 and equals the sum of op_counts: the producer computes
+    both from the same racy pass over the lane cells, so they agree even on a
+    snapshot taken with writers live.
   * every histogram is internally consistent: bucket uppers strictly
     increasing, counts non-negative, reported count == sum of buckets, and
     quantile upper bounds monotone in q (p50 <= p90 <= p99 <= max).
   * session counters are non-negative and obey the handoff-queue accounting
     the stress tests bound: deliveries <= enqueued, revocations <= enqueued.
   * prim_profile rows (if present) have non-negative averages and ops > 0.
+  * on a QUIESCED snapshot — every producer writes them after its workers
+    joined — the per-shard heat sums to at most ops_total (aggregate ops
+    carry no shard). --in-flight skips that check: a live op bumps its heat
+    cell after its op-count cell, and the scan reads heat last, so live heat
+    can lead.
   * events obey the routing-epoch spine's accounting: epochs_published <=
     resize_claims (every publish follows a successful one-shot claim;
     poisoned or abandoned claims never publish). Under --gate-monotone the
@@ -28,8 +32,8 @@ A disabled-build snapshot (telemetry_enabled == false) is VALID — it just has
 nothing to diff; diffing one exits 0 with a note (so the CI smoke invocation
 works on both flavours).
 
-Diff mode prints per-counter deltas (current - baseline) for op_counts, the
-digest/scan pair, session counters and events, plus histogram drift (count
+Diff mode prints per-counter deltas (current - baseline) for ops_total,
+op_counts, session counters and events, plus histogram drift (count
 delta and p50/p99 upper-bound movement) for op latencies and open_wait.
 Counters in a metrics snapshot are cumulative per process run, not per store
 lifetime, so a NEGATIVE delta between two runs of the same workload flags a
@@ -135,19 +139,6 @@ def validate(doc, path, in_flight=False):
     for key in ("lanes", "ops_total"):
         _require(_is_count(doc.get(key)), path,
                  f"{key} must be a non-negative int")
-    _require(_is_count(doc.get("ops_total_scan")), path,
-             "ops_total_scan must be a non-negative int")
-    if enabled:
-        if in_flight:
-            _require(doc["ops_total_scan"] <= doc["ops_total"], path,
-                     f"lane scan {doc['ops_total_scan']} exceeds the digest "
-                     f"read {doc['ops_total']} (the digest trails no one: "
-                     "every lane-cell write precedes its digest FAA)")
-        else:
-            _require(doc["ops_total_scan"] == doc["ops_total"], path,
-                     f"quiesced snapshot disagrees: digest {doc['ops_total']}"
-                     f" != lane scan {doc['ops_total_scan']} (pass --in-flight"
-                     " if writers were live at snapshot time)")
 
     ops = doc.get("op_counts")
     _require(isinstance(ops, dict), path, "op_counts must be an object")
@@ -155,6 +146,10 @@ def validate(doc, path, in_flight=False):
         _require(kind in ops, f"{path}:op_counts", f"missing op kind {kind!r}")
         _require(_is_count(ops[kind]), f"{path}:op_counts",
                  f"{kind} must be a non-negative int")
+    if enabled:
+        _require(doc["ops_total"] == sum(ops.values()), path,
+                 f"ops_total {doc['ops_total']} != sum of op_counts "
+                 f"{sum(ops.values())} (both come from one lane pass)")
 
     lat = doc.get("op_latency_ns")
     _require(isinstance(lat, dict), path, "op_latency_ns must be an object")
@@ -190,9 +185,10 @@ def validate(doc, path, in_flight=False):
              "claims never publish)")
 
     # Per-shard heat gauges: keyed ops per routing bucket plus the
-    # max-over-mean skew. Aggregate ops carry no shard, so the bucket sum can
-    # only undershoot ops_total; the reported imbalance must match the array
-    # it summarises and is >= 1.0 by construction (max >= mean).
+    # max-over-mean skew. Aggregate ops carry no shard, so on a quiesced
+    # snapshot the bucket sum can only undershoot ops_total; the reported
+    # imbalance must match the array it summarises and is >= 1.0 by
+    # construction (max >= mean).
     shard_ops = doc.get("shard_ops")
     _require(isinstance(shard_ops, list), path, "shard_ops must be an array")
     for i, v in enumerate(shard_ops):
@@ -203,10 +199,12 @@ def validate(doc, path, in_flight=False):
              and not isinstance(imbalance, bool), path,
              "shard_imbalance must be a number")
     if enabled:
-        _require(sum(shard_ops) <= doc["ops_total"], path,
-                 f"shard_ops sum {sum(shard_ops)} exceeds ops_total "
-                 f"{doc['ops_total']} (aggregate ops carry no shard; the "
-                 "bucket sum can only undershoot)")
+        if not in_flight:
+            _require(sum(shard_ops) <= doc["ops_total"], path,
+                     f"shard_ops sum {sum(shard_ops)} exceeds ops_total "
+                     f"{doc['ops_total']} (aggregate ops carry no shard; on "
+                     "a quiesced snapshot the bucket sum can only undershoot;"
+                     " pass --in-flight if writers were live)")
         _require(imbalance >= 1.0 - 1e-9, path,
                  f"shard_imbalance {imbalance} < 1.0 (max-over-mean cannot "
                  "dip below balanced)")
@@ -283,8 +281,8 @@ def main():
     ap.add_argument("current", nargs="?", default=None,
                     help="second snapshot: print current - baseline deltas")
     ap.add_argument("--in-flight", action="store_true",
-                    help="snapshot was taken with writers live: relax the "
-                         "quiesced digest==scan check to scan<=digest")
+                    help="snapshot was taken with writers live: skip the "
+                         "quiesced-only shard_ops <= ops_total check")
     ap.add_argument("--gate-monotone", action="store_true",
                     help="diff mode: exit 1 if any op count went backwards "
                          "(two runs of one workload must not lose updates)")
