@@ -11,15 +11,15 @@
 //   * flat    — the retired fixed-capacity array with the O(value) ascending
 //               scan (reference implementation kept below), or
 //   * segmented — the shipped rt::NativeFetchIncrement over doubling
-//               segments with the galloped O(log value) search.
+//               segments, searching forward from its verified-set hint.
 // Bench names are impl-agnostic ("NativeFaiRead/<value>", ...), so two runs
 // diff directly:
 //   ./bench_tas_family --impl=flat      --benchmark_filter=NativeFai --out=flat.json
 //   ./bench_tas_family --impl=segmented --benchmark_filter=NativeFai --out=seg.json
 //   tools/bench_diff.py flat.json seg.json --threshold=-0.5 --metrics throughput_ops_per_s
 // The NEGATIVE threshold turns the diff into an improvement gate: CI fails
-// unless segmented beats flat by >= 50% on every entry — the O(value) ->
-// O(log value) claim, enforced per run.
+// unless segmented beats flat by >= 50% on every entry — the claim that the
+// shipped search does not scan from zero, enforced per run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -242,7 +242,7 @@ void run_fai_inc(benchmark::State& state, Fai& fai, int64_t value) {
   uint64_t ops = 0;
   for (auto _ : state) {
     // Flat pays the O(value) from-zero scan on EVERY increment once the array
-    // is deep; segmented starts at the galloped lower bound.
+    // is deep; segmented starts at the published verified-set hint.
     benchmark::DoNotOptimize(fai.fetch_and_increment());
     ++ops;
   }

@@ -17,26 +17,29 @@
 // Two native-only refinements ride on the segmented layout; both preserve
 // strong linearizability and both are argued in docs/PROOFS.md:
 //
-//   * O(log value) fetch&increment reads. In the Thm 9 usage the set cells
-//     always form a PREFIX [0, value): a test&set win at index i requires the
-//     winner to have lost (hence observed set) every cell below i, and
-//     NativeReadableTAS writes the state word on the losing path too, so a
-//     single observation of state 1 at index i certifies every index <= i.
-//     The read therefore hops doubling segment boundaries and binary-searches
-//     the straddling segment instead of scanning cell by cell, then makes one
-//     CONFIRMING read of the candidate: a 0 observed at index v AFTER a 1 was
-//     observed at v-1 pins the value at exactly v at that read — a fixed own
-//     step, so the linearization stays prefix-closed.
+//   * Fetch&increment searches forward from a verified-set hint. In the Thm 9
+//     usage the set cells always form a PREFIX [0, value): a test&set win at
+//     index i requires every cell below i to have been observed set (or lost)
+//     first, and NativeReadableTAS writes the state word on the losing path
+//     too, so a single observation of state 1 at index i certifies every
+//     index <= i. Each winning increment publishes i + 1 as the hint (a
+//     VerifiedPrefixHint, below). Both operations start at the hint h: an
+//     exponential probe (h, h+1, h+3, h+7, ... until a 0 is observed), then a
+//     binary search of the last gap. The read then makes one CONFIRMING read
+//     of the candidate v: a 0 observed at v AFTER every 1-observation below v
+//     pins the value at exactly v at that read — a fixed own step, so the
+//     linearization stays prefix-closed. Reads publish nothing.
 //
 //   * A verified-taken-prefix skip hint in NativeSet::take. A taken flag never
 //     clears, so "every cell below h was taken" is a stable fact; take()
-//     records the longest such prefix it verified in a plain register and
-//     later sweeps start there. The hint is advisory (racy plain stores may
-//     publish a stale smaller value) but every published value WAS verified,
-//     so skipping [0, h) can never change a response — it only removes
-//     re-exchanges of permanently dead cells. This is what makes unbounded
-//     lane recycling (service/lane_registry.h) O(1) amortized per
-//     acquire/release cycle instead of O(total releases ever).
+//     publishes the longest such prefix it verified and later sweeps start
+//     there. This is what makes unbounded lane recycling
+//     (service/lane_registry.h) O(1) amortized per acquire/release cycle
+//     instead of O(total releases ever).
+//
+// Both hints are advisory: racing stores may publish a stale smaller value,
+// but every published value WAS verified, so skipping below it can never
+// change a response — it only removes steps whose outcome is determined.
 #pragma once
 
 #include <atomic>
@@ -47,6 +50,32 @@
 #include "util/assert.h"
 
 namespace c2sl::rt {
+
+/// An advisory bound on a prefix of permanently set cells: every value ever
+/// stored was verified by its writer (each cell below it was observed set,
+/// and set never clears). Racing publishers may leave a stale smaller value,
+/// which only lengthens the next search. Release/acquire carries the
+/// writer's observations to the reader, so they precede the reader's later
+/// seq_cst steps in the total order (docs/PROOFS.md).
+class VerifiedPrefixHint {
+ public:
+  size_t bound() const {
+    // c2sl-atomic: load acquire — verified-prefix read; pairs with publish()
+    // so the writer's set observations precede this reader's later steps
+    return h_.load(std::memory_order_acquire);
+  }
+  void publish(size_t verified) {
+    // c2sl-atomic: load relaxed — monotonicity check only; best-effort
+    if (verified > h_.load(std::memory_order_relaxed)) {
+      // c2sl-atomic: store release — verified-prefix write; pairs with bound()
+      // (a racer's smaller overwrite is still sound)
+      h_.store(verified, std::memory_order_release);
+    }
+  }
+
+ private:
+  std::atomic<size_t> h_{0};
+};
 
 class NativeReadableTAS {
  public:
@@ -84,13 +113,6 @@ class NativeReadableTasArray {
     const NativeReadableTAS* c = cells_.peek(idx);
     return c ? c->read() : 0;
   }
-
-  /// Cell state if published, 0 otherwise, plus segment math passthroughs —
-  /// the fetch&increment search loops below drive these directly.
-  const NativeReadableTAS* peek(size_t idx) const { return cells_.peek(idx); }
-  static int segment_of(size_t idx) { return SegmentedTasArray::segment_of(idx); }
-  static size_t segment_last(int s) { return SegmentedTasArray::segment_last(s); }
-  static constexpr int kMaxSegments = SegmentedTasArray::kMaxSegments;
 
  private:
   SegmentedTasArray cells_;
@@ -139,47 +161,48 @@ class NativeFetchIncrement {
   /// point (Thm 9). Starting the ascending scan at the searched lower bound
   /// skips only cells already OBSERVED set — cells a from-zero scan would have
   /// exchanged and lost — so the behaviour is exactly the paper's algorithm
-  /// minus provably losing steps.
+  /// minus provably losing steps. Only this path publishes the hint.
   int64_t fetch_and_increment() {
-    // The increment path needs only the certified LOWER BOUND (all cells below
-    // it observed set) — not read()'s confirming retry loop, which would
-    // re-gallop on every concurrent completion without changing where the
-    // exchange scan may start.
-    for (size_t i = known_set_bound();; ++i) {
-      if (cells_.test_and_set(i) == 0) return static_cast<int64_t>(i);
+    for (size_t i = search_from(set_prefix_.bound());; ++i) {
+      if (cells_.test_and_set(i) == 0) {
+        set_prefix_.publish(i + 1);  // cells [0, i] are now all set
+        return static_cast<int64_t>(i);
+      }
     }
   }
 
-  /// O(log value) instead of the flat array's O(value): see the header
-  /// comment for the prefix invariant and the confirming-read argument
-  /// (mechanised complexity claim: bench_tas_family's flat-vs-segmented
-  /// ablation; proof sketch: docs/PROOFS.md §"fetch&increment").
-  int64_t read() const { return static_cast<int64_t>(first_unset()); }
+  /// Least index whose readable state is 0, linearized at the confirming read
+  /// (header comment; proof sketch: docs/PROOFS.md §"fetch&increment").
+  int64_t read() const {
+    size_t from = set_prefix_.bound();
+    for (;;) {
+      size_t v = search_from(from);
+      // Confirm: this read postdates every 1-observation below v, so a 0 here
+      // pins the value at exactly v. A 1 means other increments completed
+      // meanwhile; resume past it (lock-free — only completed wins can
+      // invalidate a candidate).
+      if (cells_.read(v) == 0) return static_cast<int64_t>(v);
+      from = v + 1;
+    }
+  }
 
  private:
-  /// Certified lower bound: every index below the result was OBSERVED set (at
-  /// some past step — permanent, states never clear). Gallop the doubling
-  /// segment boundaries, then binary-search the straddling segment; one
-  /// state-1 observation certifies its whole prefix (header comment), and an
-  /// unpublished segment counts as a 0-observation (the spine load is the
-  /// atomic step; no cell of an unpublished segment has ever been exchanged).
-  size_t known_set_bound() const {
-    size_t known_set_below = 0;  // every index < this was observed set
-    int s = 0;
-    for (; s < NativeReadableTasArray::kMaxSegments; ++s) {
-      const NativeReadableTAS* last =
-          cells_.peek(NativeReadableTasArray::segment_last(s));
-      if (!last || last->read() == 0) break;
-      known_set_below = NativeReadableTasArray::segment_last(s) + 1;
+  /// Least index observed 0, searching forward from `base` (every index below
+  /// it certified set): probe base + 2^k − 1 until a 0 is observed, then
+  /// binary-search the last gap. Every index below the result was observed
+  /// (or certified) set. A cell of an unpublished segment reads 0 without
+  /// allocating: the spine load is the atomic step, and no cell of it has
+  /// ever been exchanged.
+  size_t search_from(const size_t base) const {
+    size_t lo = base;  // every index < lo observed (or certified) set
+    size_t hi = base;  // the next probe
+    for (size_t reach = 1; cells_.read(hi) == 1; reach *= 2) {
+      lo = hi + 1;
+      hi = base + 2 * reach - 1;
     }
-    C2SL_CHECK(s < NativeReadableTasArray::kMaxSegments,
-               "segmented spine exhausted (~2^63 increments)");
-    size_t lo = known_set_below;
-    size_t hi = NativeReadableTasArray::segment_last(s);
     while (lo < hi) {
       size_t mid = lo + (hi - lo) / 2;
-      const NativeReadableTAS* c = cells_.peek(mid);
-      if (c && c->read() == 1) {
+      if (cells_.read(mid) == 1) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -188,21 +211,8 @@ class NativeFetchIncrement {
     return lo;
   }
 
-  /// Least index whose readable state is 0, linearized at the final read.
-  size_t first_unset() const {
-    for (;;) {
-      size_t lo = known_set_bound();
-      // Confirm: this read postdates the 1-observation at lo-1 (if any), so a
-      // 0 here pins the implemented value at exactly lo — the linearization
-      // point. A 1 means other increments completed meanwhile; rescan
-      // (lock-free for the same reason as the flat scan: only completed wins
-      // can invalidate us).
-      const NativeReadableTAS* c = cells_.peek(lo);
-      if (!c || c->read() == 0) return lo;
-    }
-  }
-
   NativeReadableTasArray cells_;
+  VerifiedPrefixHint set_prefix_;  // advisory: cells below it verified set
 };
 
 namespace detail {
@@ -232,9 +242,7 @@ class NativeSet {
   /// [hint, Max): cells below the hint are permanently taken (header comment),
   /// so the restriction removes no candidate and moves no linearization point.
   int64_t take() {
-    // c2sl-atomic: load relaxed — advisory hint; any stale value is sound
-    const size_t skip =
-        static_cast<size_t>(taken_prefix_.load(std::memory_order_relaxed));
+    const size_t skip = taken_prefix_.bound();
     int64_t taken_old = 0;
     int64_t max_old = 0;
     for (;;) {
@@ -251,7 +259,7 @@ class NativeSet {
           if (ts_.cell(static_cast<size_t>(c)).v.exchange(
                   1, std::memory_order_seq_cst) == 0) {
             if (static_cast<size_t>(c) == dead) ++dead;  // we just killed c too
-            publish_hint(dead);
+            taken_prefix_.publish(dead);
             return x;
           }
           ++taken_new;
@@ -262,7 +270,7 @@ class NativeSet {
         // the equality above fails for every later cell of this sweep).
       }
       if (taken_new == taken_old && max_new == max_old) {
-        publish_hint(dead);
+        taken_prefix_.publish(dead);
         return kEmpty;  // linearizes at this sweep's stabilised Max read
       }
       taken_old = taken_new;
@@ -271,21 +279,10 @@ class NativeSet {
   }
 
  private:
-  void publish_hint(size_t dead) {
-    // Plain register store: racy by design. Any published value was verified
-    // all-taken by its writer and taken flags never clear, so every value in
-    // the register is a sound (possibly stale) lower bound.
-    // c2sl-atomic: load relaxed — advisory-hint read; monotonicity is best-effort
-    if (dead > static_cast<size_t>(taken_prefix_.load(std::memory_order_relaxed))) {
-      // c2sl-atomic: store relaxed — advisory-hint write; sound even if lost
-      taken_prefix_.store(static_cast<int64_t>(dead), std::memory_order_relaxed);
-    }
-  }
-
   NativeFetchIncrement max_;
   SegmentedArray<detail::SetItemCell> items_;
   SegmentedArray<detail::SetTakenCell> ts_;
-  std::atomic<int64_t> taken_prefix_{0};  // advisory verified-taken prefix
+  VerifiedPrefixHint taken_prefix_;  // advisory: cells below it verified taken
 };
 
 }  // namespace c2sl::rt

@@ -31,10 +31,11 @@
 // argument.
 //
 // Why doubling segments (and not, say, a linked list of fixed blocks): the
-// spine stays small enough to sit inline (57 slots), index→segment is two bit
-// operations, and the fetch&increment READ path gets its complexity win — the
-// least-unset-index search hops O(log value) segment boundaries instead of
-// scanning O(value) cells (see NativeFetchIncrement in native_tas_family.h).
+// spine stays small enough to sit inline (57 slots) and index→segment is two
+// bit operations. peek() never allocates, so the fetch&increment search
+// (NativeFetchIncrement in native_tas_family.h) may probe forward from its
+// verified-set hint into segments nobody has published yet: such a probe
+// reads 0 at the cost of one spine load.
 #pragma once
 
 #include <atomic>

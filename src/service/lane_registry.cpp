@@ -54,10 +54,12 @@ int LaneRegistry::acquire_blocking() {
 }
 
 int LaneRegistry::acquire_for(std::chrono::nanoseconds timeout) {
+  // The non-blocking probe comes before the clock read, so an uncontended
+  // acquire reads no clock; the deadline counts from the first failed probe.
+  int lane = try_acquire();
+  if (lane != kNone) return lane;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
-    int lane = try_acquire();
-    if (lane != kNone) return lane;
     size_t t = handoff_.enqueue();
     lane = try_acquire();  // same Dekker probe as acquire_blocking
     if (lane != kNone) {
@@ -73,7 +75,9 @@ int LaneRegistry::acquire_for(std::chrono::nanoseconds timeout) {
     }
     if (v == rt::HandoffQueue::kRevoked) {
       if (std::chrono::steady_clock::now() >= deadline) return kNone;
-      continue;  // free set refilled: retry within the deadline
+      lane = try_acquire();  // free set refilled: retry within the deadline
+      if (lane != kNone) return lane;
+      continue;
     }
     return static_cast<int>(v);
   }

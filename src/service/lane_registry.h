@@ -90,10 +90,11 @@ class LaneRegistry {
   /// at the back after re-polling the refilled free set); never busy-spins.
   int acquire_blocking();
 
-  /// Deadline form of acquire_blocking(): returns kNone when `deadline`
-  /// passes first. A lane that is handed over in the race window of the
-  /// timeout's cancellation is kept and returned (success beats timeout) —
-  /// lanes are never dropped.
+  /// Deadline form of acquire_blocking(): returns kNone when the deadline
+  /// passes first. The deadline counts from the first failed non-blocking
+  /// probe, so an uncontended acquire reads no clock. A lane that is handed
+  /// over in the race window of the timeout's cancellation is kept and
+  /// returned (success beats timeout) — lanes are never dropped.
   int acquire_for(std::chrono::nanoseconds timeout);
 
   /// Returns `lane` to the registry — to the oldest blocked acquire_blocking

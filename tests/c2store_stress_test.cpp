@@ -529,29 +529,35 @@ TEST(NativeFetchIncrementStress, DenseUnderMaximumContention) {
   EXPECT_EQ(fai.read(), threads * per_thread);
 }
 
-// Readable F&I: interleaved reads must be monotone and never exceed the number
-// of increments started.
+// Readable F&I: interleaved reads must be monotone, never exceed the number
+// of increments started, and see the thread's own last increment (a read after
+// an inc that returned t is > t). 20 000 increments carry the value past eight
+// segment doublings (into segment 8, from 16 320), so racing hint publishes and
+// forward probes into unpublished segments run under TSAN.
 TEST(NativeFetchIncrementStress, ReadsMonotoneAndBounded) {
   const int threads = 4;
-  const int per_thread = 200;
+  const int per_thread = 10000;
   rt::NativeFetchIncrement fai;
   std::atomic<bool> ok{true};
   std::vector<int64_t> last(static_cast<size_t>(threads), 0);
+  std::vector<int64_t> own(static_cast<size_t>(threads), -1);
   rt::run_stress(threads, per_thread, [&](int t, int j) {
     rt::TimedOp op;
+    const auto i = static_cast<size_t>(t);
     if (j % 2 == 0) {
-      fai.fetch_and_increment();
+      own[i] = fai.fetch_and_increment();
     } else {
       int64_t v = fai.read();
-      if (v < last[static_cast<size_t>(t)] ||
-          v > static_cast<int64_t>(threads) * per_thread) {
+      if (v < last[i] || v <= own[i] ||
+          v > static_cast<int64_t>(threads) * per_thread / 2) {
         ok.store(false);
       }
-      last[static_cast<size_t>(t)] = v;
+      last[i] = v;
     }
     return op;
   });
   EXPECT_TRUE(ok.load());
+  EXPECT_EQ(fai.read(), threads * per_thread / 2);
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 //  1. Index math: the doubling-segment layout (base 64) maps every index to
 //     exactly one segment, boundaries included.
 //  2. Segment-boundary edges: fetch&increment values straddling the doublings
-//     (63|64, 191|192, 447|448) — the galloped O(log value) read must agree
-//     with the dense increment count at every step, and the first_unset
-//     confirm loop must hold up under real-thread contention right at a
-//     boundary.
+//     (63|64, 191|192, 447|448) — the hint-started read must agree with the
+//     dense increment count at every step, and its confirm loop must hold up
+//     under real-thread contention right at a boundary.
 //  3. Publication race: threads force the SAME fresh segment concurrently;
 //     the claim must elect exactly one constructor (observed indirectly:
 //     every cell still has exactly one test&set winner — two published
@@ -85,8 +84,8 @@ TEST(SegmentedArray, PeekNeverAllocatesCellAlways) {
 TEST(NativeFetchIncrement, ReadAgreesAcrossSegmentBoundaries) {
   rt::NativeFetchIncrement fai;
   EXPECT_EQ(fai.read(), 0);
-  // Cross the 64, 192 and 448 boundaries; the galloped read must track the
-  // dense value exactly, including AT the doublings.
+  // Cross the 64, 192 and 448 boundaries; the read must track the dense
+  // value exactly, including AT the doublings.
   for (int64_t i = 0; i < 600; ++i) {
     EXPECT_EQ(fai.fetch_and_increment(), i);
     EXPECT_EQ(fai.read(), i + 1) << "after increment " << i;
