@@ -24,10 +24,11 @@
 // eviction, not routing cost — real clients bind handles for their hot keys.
 //
 // --sum-impl selects how kCounterSum ops read the aggregate: the wait-free
-// strongly-linearizable digest word (default) or the retired bounded
-// double-collect scan. Bench names stay identical across the modes, so two
-// runs give the scan-vs-digest ablation CI gates on the sum_heavy mix with a
-// NEGATIVE bench_diff threshold (digest must beat the scan):
+// strongly-linearizable digest word (default) or the bounded double-collect
+// scan of src/baselines/collect_scans.h. Bench names stay identical across
+// the modes, so two runs give the scan-vs-digest ablation CI gates on the
+// sum_heavy mix with a NEGATIVE bench_diff threshold (digest must beat the
+// scan):
 //
 //   $ ./bench_c2store --sum-impl scan   --out BENCH_sum_scan.json
 //   $ ./bench_c2store --sum-impl digest --out BENCH_sum_digest.json

@@ -53,10 +53,10 @@
 // mask forever (documented below).
 //
 // What survives a resize, exactly: the monotone VALUE facets — max reads,
-// counter counts (lower bounds; slot-scan sums over-approximate after a
-// resize because replay duplicates in-window increments, while counter_sum()
-// stays exact), TAS set-ness — never regress across the cut, and the
-// epoch hand-off on the value facets is checker-verified strongly
+// counter counts (lower bounds; a sum over the slots over-approximates after
+// a resize because replay duplicates in-window increments, while
+// counter_sum() stays exact), TAS set-ness — never regress across the cut,
+// and the epoch hand-off on the value facets is checker-verified strongly
 // linearizable (SimRoutingEpoch; the serve-before-replay variant is pinned
 // refuted). DECISION outputs — TAS winner identity, fetch&increment tickets —
 // are per-epoch, exactly like the documented key-collision semantics: a
@@ -89,35 +89,18 @@
 // real routing layer on full execution trees). Lane acquire/release is itself
 // strongly linearizable (tests/lane_registry_test.cpp, checker-verified).
 //
-// Aggregates come in two provably different flavours:
-//   * global_max() and counter_sum() read store-level DIGESTS that every
-//     write also updates — global_max an extra NativeMaxRegister64 (every
-//     MaxRef::write lands there too), counter_sum a CounterSumDigest (every
-//     CounterRef::inc also fetch_adds the digest word) — so each global read
-//     is a single seq_cst load of one fetch&add word (a read step, no RMW):
-//     wait-free and strongly linearizable, exactly the paper's "pack it into
-//     one FAA word" move (§3.1/§3.2). The digests
-//     are keyed by LANE, not by slot, so they are EPOCH-INDEPENDENT: a
-//     resize cannot tear them, and they stay exact across any number of
-//     migrations (the in-window slot duplication never reaches them).
-//   * global_max_scan() / counter_sum_scan() scan the per-shard read paths
-//     with a double-collect stabilisation loop (repeat until two consecutive
-//     collects of the monotone per-shard values coincide). A naive one-pass
-//     scan is not even linearizable — a reader can miss an earlier, larger
-//     write on a shard it already passed while observing a later, smaller
-//     write on a shard still ahead of it. The double-collect IS linearizable,
-//     but it is NOT strongly linearizable: the read's linearization point
-//     (the stable pair) is determined by future schedule steps, so it is not
-//     prefix-closed. The bounded model checker refutes it mechanically
-//     (tests/service_sim_test.cpp pins both refutations), which is precisely
-//     why the digests exist. The scans are kept (and benchmarked, see
-//     bench_c2store --sum-impl) as the ablation baseline; they retry at most
-//     kScanRetryRounds collects and then fall back to the corresponding
-//     digest read — still linearizable (the digest step is inside the scan's
-//     interval), and bounded instead of livelocking under sustained writes.
-//     A scan that observes a grown shard count also falls back to its digest
-//     (the collected range is stale); counter_sum_scan over-approximates
-//     after a resize (replay duplication) — the digest is the exact read.
+// Aggregates: global_max() and counter_sum() read store-level DIGESTS that
+// every write also updates — global_max an extra NativeMaxRegister64 (every
+// MaxRef::write lands there too), counter_sum a CounterSumDigest (every
+// CounterRef::inc also fetch_adds the digest word) — so each global read is a
+// single seq_cst load of one fetch&add word (a read step, no RMW): wait-free
+// and strongly linearizable, exactly the paper's "pack it into one FAA word"
+// move (§3.1/§3.2). The digests are keyed by LANE, not by slot, so they are
+// EPOCH-INDEPENDENT: a resize cannot tear them, and they stay exact across
+// any number of migrations (the in-window slot duplication never reaches
+// them). Scanning the per-shard objects instead is linearizable at best and
+// never strongly linearizable; those scans live in baselines/collect_scans.h
+// as the refuted negative control.
 //
 // Between the per-key ops and the whole-store aggregates sits the MULTI-KEY
 // surface: session.snapshot(keys) returns a consistent vector over chosen
@@ -160,6 +143,10 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
+namespace c2sl::baselines {
+struct ShardPeek;  // the double-collect scans' slot reader (collect_scans.h)
+}  // namespace c2sl::baselines
+
 namespace c2sl::svc {
 
 /// No capacity knobs: counters, sets, lane recycling AND (since PR 9) the
@@ -169,18 +156,7 @@ namespace c2sl::svc {
 /// traffic. The two remaining numeric bounds are 63-bit lane-PACKING limits
 /// of the fetch&add max registers (§6 width discussion), not array
 /// capacities.
-// The pragma pair suppresses -Wdeprecated-declarations INSIDE the struct
-// only: GCC attributes the implicit constructors' "use" of the deprecated
-// member's default initializer to the struct itself, so merely constructing
-// a config would otherwise warn. Call sites that touch .shards still warn.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 struct C2StoreConfig {
-  /// Sentinel for the deprecated `shards` alias below.
-  static constexpr int kShardsUnset = -1;
-
   int initial_shards = 16;  ///< power of two; a starting hint — see resize()
   int max_threads = 8;      ///< maximum CONCURRENT sessions (lane owners)
 
@@ -189,16 +165,7 @@ struct C2StoreConfig {
   /// Per-shard multi-shot TAS reset budget; max_threads * (tas_max_resets + 1)
   /// must fit in 63 bits.
   int64_t tas_max_resets = 6;
-
-  /// Deprecated PR 1 name for `initial_shards`, kept one release for source
-  /// compatibility (see README "Migrating to resizable stores"). When set
-  /// (!= kShardsUnset) it wins over initial_shards.
-  [[deprecated("use initial_shards; the count is a starting hint now")]]
-  int shards = kShardsUnset;
 };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 /// Typed outcome of TasRef::reset(). The budget gate is advisory under
 /// concurrency: callers that might consume the LAST reset generation
@@ -533,14 +500,15 @@ class C2Session {
 
   // --- aggregates, forwarded to the store ---
   inline int64_t global_max();
-  inline int64_t global_max_scan();
   inline int64_t counter_sum();
-  inline int64_t counter_sum_scan();
 
  private:
   friend class C2Store;
   inline C2Session(C2Store* store, int lane);  // defined after C2Store
 
+  /// The body of both transfer overloads, given the two keys' hashes.
+  inline int64_t transfer_hashed(uint64_t from_hash, uint64_t to_hash,
+                                 int64_t amount);
   /// Lazily-created replay state shared by every SnapshotRef bound here.
   inline detail::SnapReplay& snap_state();
 
@@ -597,13 +565,6 @@ class C2Store {
   }
 
   // --- aggregates ---
-  /// Bound on double-collect retries in the *_scan aggregates: after this
-  /// many collects without two consecutive ones coinciding, the scan falls
-  /// back to the corresponding digest read (documented fallback — the scan
-  /// stays linearizable and becomes bounded instead of livelocking under
-  /// sustained writes; see tests/c2store_stress_test.cpp).
-  static constexpr int kScanRetryRounds = 64;
-
   /// Digest read: one seq_cst load of the digest word (a read step, no RMW);
   /// wait-free, strongly linearizable as its own facet, and epoch-independent
   /// (lane-keyed — exact across resizes).
@@ -613,7 +574,7 @@ class C2Store {
   /// two updates; each facet is individually consistent. The write order
   /// (shard first, digest never ahead of any shard) is pinned by
   /// tests/service_sim_test.cpp — reordering it fails loudly there.
-  int64_t global_max();
+  int64_t global_max() const;
   /// Sum digest read: one seq_cst load of the CounterSumDigest word —
   /// wait-free, strongly linearizable as its own facet (checker-verified via
   /// the sim twin), and epoch-independent (exact across resizes — the only
@@ -622,16 +583,7 @@ class C2Store {
   /// global_max(): CounterRef::inc updates the shard counter BEFORE the
   /// digest, so the digest never leads any keyed counter read, and may
   /// briefly lag one (both directions pinned by tests/service_sim_test.cpp).
-  int64_t counter_sum();
-  /// Double-collect scans over per-shard read paths: linearizable, NOT
-  /// strongly linearizable (pinned refutations in tests/service_sim_test).
-  /// Retained as the measured ablation baseline (bench_c2store --sum-impl);
-  /// bounded by kScanRetryRounds with a digest fallback, which also covers a
-  /// shard count grown mid-scan. counter_sum_scan over-approximates after a
-  /// resize (migration replay duplicates in-window increments across parent
-  /// and child slots); counter_sum() is the exact read.
-  int64_t global_max_scan();
-  int64_t counter_sum_scan();
+  int64_t counter_sum() const;
 
   // --- introspection ---
   /// Shard count of the newest PUBLISHED routing epoch (grows over time).
@@ -692,6 +644,7 @@ class C2Store {
   friend class TasRef;
   friend class SetRef;
   friend class SnapshotRef;
+  friend struct baselines::ShardPeek;
 
   struct alignas(128) ShardSlot {
     rt::NativeReadableTAS claim;           // Thm 5 readable test&set: init winner
@@ -699,13 +652,10 @@ class C2Store {
     std::atomic<bool> poisoned{false};     // claim winner threw before publishing
   };
 
-  /// Normalises the config (resolves the deprecated `shards` alias into
-  /// initial_shards) and validates it; every config error surfaces here with
-  /// a service-level message, before any member construction.
-  static C2StoreConfig validate(C2StoreConfig cfg);
+  /// Validates the config; every config error surfaces here with a
+  /// service-level message, before any member construction.
+  static const C2StoreConfig& validate(const C2StoreConfig& cfg);
 
-  int route(uint64_t key) const { return router_.shard_of(key); }
-  int route(std::string_view key) const { return router_.shard_of(key); }
   /// Key's slot under `epoch`'s mask (the epoch must have been exposed by a
   /// stamp read — see RoutingEpoch::shards_of).
   int slot_under(uint64_t hash, int64_t epoch) const {
@@ -1043,24 +993,18 @@ inline std::vector<int64_t> C2Session::snapshot_counters(
 
 inline int64_t C2Session::transfer(uint64_t from_key, uint64_t to_key,
                                    int64_t amount) {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kTransfer, -1, amount);
-  int from = store_->journal_slot(hash_key(from_key));
-  int to = store_->journal_slot(hash_key(to_key));
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kTransfer, from, amount);
-  tr.set_key_b(static_cast<int32_t>(to));
-  int64_t ticket = store_->journal_.append(
-      rt::KeyedVersionDigest::Kind::kTransfer, from, to, amount);
-  tr.set_witness(ticket);
-  tr.set_result(ticket);
-  return ticket;
+  return transfer_hashed(hash_key(from_key), hash_key(to_key), amount);
 }
 inline int64_t C2Session::transfer(std::string_view from_key,
                                    std::string_view to_key, int64_t amount) {
+  return transfer_hashed(hash_key(from_key), hash_key(to_key), amount);
+}
+inline int64_t C2Session::transfer_hashed(uint64_t from_hash, uint64_t to_hash,
+                                          int64_t amount) {
   C2SL_CHECK(valid(), "session is closed");
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kTransfer, -1, amount);
-  int from = store_->journal_slot(hash_key(from_key));
-  int to = store_->journal_slot(hash_key(to_key));
+  int from = store_->journal_slot(from_hash);
+  int to = store_->journal_slot(to_hash);
   tel::TraceScope tr(trc_lane_, tel::TraceOp::kTransfer, from, amount);
   tr.set_key_b(static_cast<int32_t>(to));
   int64_t ticket = store_->journal_.append(
@@ -1106,17 +1050,6 @@ inline int64_t C2Session::global_max() {
   tr.set_witness(v);
   return v;
 }
-inline int64_t C2Session::global_max_scan() {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kGlobalMaxScan, -1, 0);
-  // Deliberately unwitnessed (witness = -1): the double-collect scan is NOT
-  // strongly linearizable, so it has no own-step evidence to record — the
-  // trace schema carries the refutation story.
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kGlobalMaxScan, -1, 0);
-  int64_t v = store_->global_max_scan();
-  tr.set_result(v);
-  return v;
-}
 inline int64_t C2Session::counter_sum() {
   C2SL_CHECK(valid(), "session is closed");
   tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kCounterSum, -1, 0);
@@ -1125,14 +1058,6 @@ inline int64_t C2Session::counter_sum() {
   // The sum digest read's value is its own witness (monotone: incs only).
   tr.set_result(v);
   tr.set_witness(v);
-  return v;
-}
-inline int64_t C2Session::counter_sum_scan() {
-  C2SL_CHECK(valid(), "session is closed");
-  tel::OpScope t(store_->tel_, tel_lane_, tel::TelOp::kCounterSumScan, -1, 0);
-  tel::TraceScope tr(trc_lane_, tel::TraceOp::kCounterSumScan, -1, 0);
-  int64_t v = store_->counter_sum_scan();
-  tr.set_result(v);
   return v;
 }
 

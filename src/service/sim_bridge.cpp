@@ -637,106 +637,4 @@ void SimRoutingEpoch::resize(sim::Ctx& ctx, int new_shards) {
   });
 }
 
-// --- SimShardedMaxRegister (aggregate-scan experiment) ----------------------
-
-SimShardedMaxRegister::SimShardedMaxRegister(sim::World& world, std::string name, int n,
-                                             int shards, bool double_collect)
-    : name_(std::move(name)), shards_(shards), double_collect_(double_collect) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
-  regs_.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
-        world, name_ + ".shard" + std::to_string(s), n));
-  }
-}
-
-void SimShardedMaxRegister::write_max(sim::Ctx& ctx, int64_t v) {
-  int s = static_cast<int>(static_cast<uint64_t>(v) & static_cast<uint64_t>(shards_ - 1));
-  regs_[static_cast<size_t>(s)]->write_max(ctx, v);
-}
-
-std::vector<int64_t> SimShardedMaxRegister::collect(sim::Ctx& ctx) {
-  std::vector<int64_t> view(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    view[static_cast<size_t>(s)] = regs_[static_cast<size_t>(s)]->read_max(ctx);
-  }
-  return view;
-}
-
-int64_t SimShardedMaxRegister::read_max(sim::Ctx& ctx) {
-  std::vector<int64_t> curr = collect(ctx);
-  if (double_collect_) {
-    for (;;) {
-      std::vector<int64_t> next = collect(ctx);
-      if (next == curr) break;
-      curr = std::move(next);
-    }
-  }
-  return *std::max_element(curr.begin(), curr.end());
-}
-
-Val SimShardedMaxRegister::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "WriteMax") {
-    write_max(ctx, as_num(inv.args));
-    return unit();
-  }
-  if (inv.name == "ReadMax") return num(read_max(ctx));
-  C2SL_CHECK(false, "unknown operation on sharded max register: " + inv.name);
-  return unit();
-}
-
-// --- SimShardedCounter (aggregate-scan experiment) ---------------------------
-
-SimShardedCounter::SimShardedCounter(sim::World& world, std::string name, int shards,
-                                     bool double_collect)
-    : name_(std::move(name)), shards_(shards), double_collect_(double_collect) {
-  C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
-             "shard count must be a power of two");
-  for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
-  }
-}
-
-void SimShardedCounter::inc(sim::Ctx& ctx) {
-  int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
-                           static_cast<uint64_t>(shards_ - 1));
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
-}
-
-std::vector<int64_t> SimShardedCounter::collect(sim::Ctx& ctx) {
-  std::vector<int64_t> view(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    view[static_cast<size_t>(s)] = ctrs_[static_cast<size_t>(s)]->read(ctx);
-  }
-  return view;
-}
-
-int64_t SimShardedCounter::read(sim::Ctx& ctx) {
-  std::vector<int64_t> curr = collect(ctx);
-  if (double_collect_) {
-    for (;;) {
-      std::vector<int64_t> next = collect(ctx);
-      if (next == curr) break;
-      curr = std::move(next);
-    }
-  }
-  int64_t sum = 0;
-  for (int64_t v : curr) sum += v;
-  return sum;
-}
-
-Val SimShardedCounter::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
-  if (inv.name == "Inc") {
-    this->inc(ctx);
-    return unit();
-  }
-  if (inv.name == "Read") return num(read(ctx));
-  C2SL_CHECK(false, "unknown operation on sharded counter: " + inv.name);
-  return unit();
-}
-
 }  // namespace c2sl::svc

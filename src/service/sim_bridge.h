@@ -1,9 +1,12 @@
 // Sim-mode C2Store bridge: small sharded configurations of the service layer
 // rebuilt over the *simulated* paper constructions, so the bounded model
 // checkers (verify/lin_checker, verify/strong_lin) can exercise the service's
-// routing and aggregate algorithms on full execution trees.
+// routing and aggregate algorithms on full execution trees. Every facade here
+// is the twin of shipping code (plus the flags that select its pinned-refuted
+// variants); the sim twins of the refuted double-collect aggregate scans live
+// with their native versions in baselines/collect_scans.h.
 //
-// Four facades, mirroring the native service's verification story:
+// The facades, mirroring the native service's verification story:
 //
 //   * SimKeyedStore — the per-key service path through the REAL ShardRouter:
 //     keyed max-register and counter ops recorded under per-shard object
@@ -24,20 +27,10 @@
 //     digest); Read is a single FAA(0) on the digest. Strongly linearizable —
 //     every Inc linearizes at its own digest FAA step, every Read at its
 //     FAA(0), fixed own-steps. This is the sum the double-collect scan CANNOT
-//     provide (refutation below), the §3.2 pack-into-one-FAA-word move in its
-//     degenerate sum form (addition is its own combiner, so the per-process
-//     components share the accumulator).
+//     provide (baselines::SimShardedCounter, pinned refuted), the §3.2
+//     pack-into-one-FAA-word move in its degenerate sum form (addition is its
+//     own combiner, so the per-process components share the accumulator).
 //
-//   * SimShardedMaxRegister / SimShardedCounter — the aggregate-SCAN
-//     experiments. Reads collect per-shard values: with `double_collect` the
-//     read repeats until two consecutive collects of the monotone values
-//     coincide — linearizable (the stable pair pins a single logical instant)
-//     but NOT strongly linearizable: the linearization point depends on
-//     future schedule steps, so no prefix-closed assignment exists and the
-//     checker refutes it. With `double_collect = false` (naive one-pass scan)
-//     the read is not even linearizable. Both refutations are pinned tests —
-//     they are exactly why C2Store serves global_max from a digest word, the
-//     same reason the paper packs its snapshot into one fetch&add register.
 //   * SimLaneRegistry — the lane lifecycle behind C2Store::open_session()
 //     (service/lane_registry.h) rebuilt over the simulated constructions:
 //     Acquire tries SLSet::Take (recycle), falls back to a Thm 9
@@ -141,8 +134,9 @@ class SimGlobalMax : public core::ConcurrentObject {
 
 /// Sim twin of the counter-sum digest behind C2Store::counter_sum() (see
 /// header comment above). Incs route to per-shard Thm 9 counters by calling
-/// process id (like SimShardedCounter, so the two designs face identical
-/// schedules) and then take one digest FAA step; Read is one digest FAA(0).
+/// process id (like baselines::SimShardedCounter, so the two designs face
+/// identical schedules) and then take one digest FAA step; Read is one digest
+/// FAA(0).
 class SimCounterSumDigest : public core::ConcurrentObject {
  public:
   SimCounterSumDigest(sim::World& world, std::string name, int shards);
@@ -392,47 +386,6 @@ class SimRoutingEpoch {
   sim::Handle<prim::RegArray> counts_;  ///< epoch -> shard count (install)
   sim::Handle<prim::RegArray> stamp_;   ///< cell 0: the stamp word (⊥ = 0)
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;  ///< per-slot Thm 1
-};
-
-class SimShardedMaxRegister : public core::ConcurrentObject {
- public:
-  SimShardedMaxRegister(sim::World& world, std::string name, int n, int shards,
-                        bool double_collect = true);
-
-  void write_max(sim::Ctx& ctx, int64_t v);  ///< routes by v & (shards-1)
-  int64_t read_max(sim::Ctx& ctx);           ///< aggregate scan
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::vector<int64_t> collect(sim::Ctx& ctx);
-
-  std::string name_;
-  int shards_;
-  bool double_collect_;
-  std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-};
-
-class SimShardedCounter : public core::ConcurrentObject {
- public:
-  SimShardedCounter(sim::World& world, std::string name, int shards,
-                    bool double_collect = true);
-
-  void inc(sim::Ctx& ctx);    ///< routes by calling process id
-  int64_t read(sim::Ctx& ctx);  ///< aggregate scan (sum)
-
-  std::string object_name() const override { return name_; }
-  Val apply(sim::Ctx& ctx, const verify::Invocation& inv) override;
-
- private:
-  std::vector<int64_t> collect(sim::Ctx& ctx);
-
-  std::string name_;
-  int shards_;
-  bool double_collect_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
 };
 
 }  // namespace c2sl::svc

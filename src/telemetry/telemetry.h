@@ -34,12 +34,6 @@
 #include "telemetry/histogram.h"
 #include "telemetry/prim_profile.h"
 
-/// Flight-recorder depth (records per lane). Compile-time knob so post-mortem
-/// capture can be widened without touching code; must be a power of two.
-#ifndef C2SL_FLIGHT_RING
-#define C2SL_FLIGHT_RING 64
-#endif
-
 #if C2SL_TELEMETRY
 #include <atomic>
 #include <chrono>
@@ -61,9 +55,7 @@ enum class TelOp : int {
   kSetPut,
   kSetTake,
   kGlobalMax,
-  kGlobalMaxScan,
   kCounterSum,
-  kCounterSumScan,
   kSessionOpen,
   kSnapshot,
   kTransfer,
@@ -84,9 +76,7 @@ inline const char* to_string(TelOp op) {
     case TelOp::kSetPut: return "set_put";
     case TelOp::kSetTake: return "set_take";
     case TelOp::kGlobalMax: return "global_max";
-    case TelOp::kGlobalMaxScan: return "global_max_scan";
     case TelOp::kCounterSum: return "counter_sum";
-    case TelOp::kCounterSumScan: return "counter_sum_scan";
     case TelOp::kSessionOpen: return "session_open";
     case TelOp::kSnapshot: return "snapshot";
     case TelOp::kTransfer: return "transfer";
@@ -178,9 +168,9 @@ inline namespace tel_on {
 /// diagnostic. Dumped by telemetry/export.cpp on assert failure.
 class FlightRecorder {
  public:
-  static constexpr uint64_t kEntries = C2SL_FLIGHT_RING;
+  static constexpr uint64_t kEntries = 64;  ///< records per lane
   static_assert(kEntries >= 2 && (kEntries & (kEntries - 1)) == 0,
-                "C2SL_FLIGHT_RING must be a power of two >= 2");
+                "kEntries must be a power of two >= 2");
 
   void record(TelOp op, int shard, int64_t arg) {
     // c2sl-atomic: load relaxed — single-writer ring cursor read

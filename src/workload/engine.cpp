@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/collect_scans.h"
 #include "util/assert.h"
 
 namespace c2sl::wl {
@@ -306,16 +307,17 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
           cached ? tas_refs[key].read()
                  : string_keys ? session.tas_read(sv(key)) : session.tas_read(key);
           break;
-        // Aggregates run through the session so the telemetry layer sees
-        // them (store-level calls are uninstrumented by design).
+        // Digest aggregates run through the session so the telemetry layer
+        // sees them; the double-collect baselines read the store directly
+        // and are uninstrumented.
         case OpKind::kGlobalMax:
           session.global_max();
           break;
         case OpKind::kGlobalMaxScan:
-          session.global_max_scan();
+          baselines::global_max_scan(store);
           break;
         case OpKind::kCounterSum:
-          sum_scan ? session.counter_sum_scan() : session.counter_sum();
+          sum_scan ? baselines::counter_sum_scan(store) : session.counter_sum();
           break;
         case OpKind::kSessionChurn:
           C2SL_CHECK(false, "kSessionChurn only runs in the session_churn mix");
@@ -439,7 +441,8 @@ WorkloadResult run_workload(const WorkloadConfig& cfg) {
   // Post-quiescence the scan stabilises on its first two collects and agrees
   // with the digest exactly; read through the configured impl anyway so the
   // ablation artifact reports the path it measured.
-  result.final_counter_sum = sum_scan ? store.counter_sum_scan() : store.counter_sum();
+  result.final_counter_sum =
+      sum_scan ? baselines::counter_sum_scan(store) : store.counter_sum();
   result.journal_tickets = store.journal_tickets();
   if (resizing) {
     // Conservation across every resize cut: each counter inc lands in the
@@ -515,9 +518,7 @@ void profile_primitives(tel::MetricsSnapshot& snap) {
     profile(tel::TelOp::kSetPut, [&](int i) { set.put(i); });
     profile(tel::TelOp::kSetTake, [&](int) { set.take(); });
     profile(tel::TelOp::kGlobalMax, [&](int) { s.global_max(); });
-    profile(tel::TelOp::kGlobalMaxScan, [&](int) { s.global_max_scan(); });
     profile(tel::TelOp::kCounterSum, [&](int) { s.counter_sum(); });
-    profile(tel::TelOp::kCounterSumScan, [&](int) { s.counter_sum_scan(); });
     // Snapshot steady state: the first read drains the journal entries the
     // profiles above appended; after that each read is one tail FAA plus a
     // replay of whatever landed since — nothing, here, so the profile is the

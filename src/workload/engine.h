@@ -51,9 +51,9 @@ struct WorkloadConfig {
   std::string keys = "int";
   /// counter_sum() implementation for kCounterSum ops: "digest" reads the
   /// wait-free strongly-linearizable CounterSumDigest word; "scan" runs the
-  /// retired bounded double-collect (linearizable only — the ablation
-  /// baseline bench_c2store emits under --sum-impl, gated by tools/bench_diff
-  /// in CI: digest must win the sum-heavy mix).
+  /// bounded double-collect of baselines/collect_scans.h (linearizable only —
+  /// the ablation baseline bench_c2store emits under --sum-impl, gated by
+  /// tools/bench_diff in CI: digest must win the sum-heavy mix).
   std::string sum_impl = "digest";
   /// Session acquisition for the session_churn mix: "block" parks on the
   /// store's consensus-2 handoff queue (open_session()); "try" is the retired

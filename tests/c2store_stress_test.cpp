@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "baselines/collect_scans.h"
 #include "runtime/native_tas_family.h"
 #include "runtime/stress.h"
 #include "service/c2store.h"
@@ -144,7 +145,7 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
   EXPECT_FALSE(leads.load())
       << "counter_sum() led the lane components read after it";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
-  EXPECT_EQ(store.counter_sum_scan(), inc_threads * per_thread);
+  EXPECT_EQ(baselines::counter_sum_scan(store), inc_threads * per_thread);
   int64_t lanes_total = 0;
   for (int l = 0; l < store.config().max_threads; ++l) {
     lanes_total += store.lane_counter_adds(l);
@@ -153,14 +154,15 @@ TEST(C2StoreStress, CounterSumDigestMonotoneUnderConcurrentAdds) {
       << "per-lane components must telescope to the digest total";
 }
 
-// The bounded scans under SUSTAINED writers: before the kScanRetryRounds
-// bound, a write landing during every collect round could livelock the
-// double-collect loop forever. Scanner threads hammer counter_sum_scan() and
-// global_max_scan() while writers never pause; every scan must return (bound
-// or stabilise) and respect the global bounds. (No cross-call monotonicity
-// check here: a stabilised scan linearizes on the shard-counter facet while
-// the fallback reads the digest facet, and the documented cross-facet lag
-// makes a mixed sequence legitimately non-monotone.)
+// The bounded scans under SUSTAINED writers: before the
+// baselines::kScanRetryRounds bound, a write landing during every collect
+// round could livelock the double-collect loop forever. Scanner threads hammer
+// counter_sum_scan and global_max_scan while writers never pause; every scan
+// must return (bound or stabilise) and respect the global bounds. (No
+// cross-call monotonicity check here: a stabilised scan linearizes on the
+// shard-counter facet while the fallback reads the digest facet, and the
+// documented cross-facet lag makes a mixed sequence legitimately
+// non-monotone.)
 TEST(C2StoreStress, BoundedScansUnderSustainedWriters) {
   const int threads = 4;
   const int per_thread = 400;
@@ -174,10 +176,10 @@ TEST(C2StoreStress, BoundedScansUnderSustainedWriters) {
   rt::run_stress(threads, per_thread, [&](int t, int j) {
     rt::TimedOp op;
     if (t == 0 || (t == 1 && j % 2 == 0)) {
-      int64_t sum = store.counter_sum_scan();
+      int64_t sum = baselines::counter_sum_scan(store);
       if (sum < 0 || sum > inc_threads * per_thread) ok.store(false);
     } else if (t == 1) {
-      int64_t m = store.global_max_scan();
+      int64_t m = baselines::global_max_scan(store);
       if (m < 0 || m > max_bound) ok.store(false);
     } else {
       auto& session = sessions[static_cast<size_t>(t)];
@@ -189,7 +191,7 @@ TEST(C2StoreStress, BoundedScansUnderSustainedWriters) {
   });
   EXPECT_TRUE(ok.load()) << "a scan returned a non-linearizable value";
   EXPECT_EQ(store.counter_sum(), inc_threads * per_thread);
-  EXPECT_EQ(store.counter_sum_scan(), inc_threads * per_thread)
+  EXPECT_EQ(baselines::counter_sum_scan(store), inc_threads * per_thread)
       << "quiesced scan must stabilise on its first two collects";
 }
 

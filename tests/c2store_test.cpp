@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/collect_scans.h"
 #include "service/c2store.h"
 #include "service/shard_router.h"
 
@@ -222,7 +223,8 @@ TEST(C2Store, CounterIncrementAndSum) {
   EXPECT_EQ(ca.read(), 10);
   EXPECT_EQ(cb.read(), 5);
   EXPECT_EQ(store.counter_sum(), 15);
-  EXPECT_EQ(store.counter_sum_scan(), 15) << "scan ablation must agree at quiescence";
+  EXPECT_EQ(baselines::counter_sum_scan(store), 15)
+      << "scan ablation must agree at quiescence";
 }
 
 // --- counter-sum digest edge cases ------------------------------------------
@@ -232,13 +234,13 @@ TEST(C2Store, CounterIncrementAndSum) {
 TEST(C2Store, CounterSumOnZeroInitializedShards) {
   svc::C2Store store(small_config());
   EXPECT_EQ(store.counter_sum(), 0);
-  EXPECT_EQ(store.counter_sum_scan(), 0);
+  EXPECT_EQ(baselines::counter_sum_scan(store), 0);
   EXPECT_EQ(store.initialized_shards(), 0)
       << "aggregate reads must not materialise shards";
   // Same through a session, still without materialising.
   svc::C2Session s = store.open_session();
   EXPECT_EQ(s.counter_sum(), 0);
-  EXPECT_EQ(s.counter_sum_scan(), 0);
+  EXPECT_EQ(baselines::counter_sum_scan(store), 0);
   EXPECT_EQ(store.initialized_shards(), 0);
 }
 
@@ -255,7 +257,7 @@ TEST(C2Store, CounterSumOnSingleLaneStore) {
   EXPECT_EQ(s.lane(), 0);
   for (uint64_t k = 0; k < 16; ++k) s.counter(k).inc();
   EXPECT_EQ(store.counter_sum(), 16);
-  EXPECT_EQ(store.counter_sum_scan(), 16);
+  EXPECT_EQ(baselines::counter_sum_scan(store), 16);
   EXPECT_EQ(store.lane_counter_adds(0), 16)
       << "single lane carries the whole per-lane component";
 }
@@ -285,7 +287,7 @@ TEST(C2Store, CounterSumSurvivesSessionCloseReopen) {
   // And the per-key counter agrees with the digest at quiescence.
   svc::C2Session s = store.open_session();
   EXPECT_EQ(s.counter(key).read(), 8);
-  EXPECT_EQ(store.counter_sum_scan(), 8);
+  EXPECT_EQ(baselines::counter_sum_scan(store), 8);
 }
 
 // The digest never leads the per-lane components (add bumps the lane cell

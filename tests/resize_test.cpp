@@ -1,8 +1,8 @@
 // Functional tests for online shard resizing (PR 9): the RoutingEpoch spine's
 // claim/install/publish protocol and failure contracts, C2Store::resize under
 // live sessions, typed-ref rebinding across epoch bumps, aggregate and
-// snapshot identity across migrations, and the deprecated C2StoreConfig
-// `shards` alias.
+// snapshot identity across migrations, and the slot scans' post-resize
+// semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/collect_scans.h"
 #include "runtime/routing_epoch.h"
 #include "service/c2store.h"
 #include "telemetry/telemetry.h"
@@ -322,34 +323,39 @@ TEST(C2StoreResize, TelemetryCountsClaimsPublishesAndMigratedKeys) {
       << "32 touched keys on 8 shards must move state";
 }
 
-// --- the deprecated config alias --------------------------------------------
-
-TEST(C2StoreConfigCompat, DeprecatedShardsAliasStillWorks) {
-  // One release of compatibility: `shards` (the pre-PR 9 name) still
-  // configures the INITIAL shard count and wins over the default when set.
-  svc::C2StoreConfig cfg;
-  cfg.max_threads = 2;
-  cfg.max_value = 10;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  cfg.shards = 4;
-#pragma GCC diagnostic pop
-  svc::C2Store store(cfg);
-  EXPECT_EQ(store.shard_count(), 4);
-  EXPECT_EQ(store.config().initial_shards, 4)
-      << "validate() must fold the alias into initial_shards";
-  // The alias is still just a STARTING hint: the store resizes past it.
-  EXPECT_EQ(store.resize(8), svc::ResizeStatus::kInstalled);
-  EXPECT_EQ(store.shard_count(), 8);
-}
-
-TEST(C2StoreConfigCompat, AliasValuesAreValidated) {
-  svc::C2StoreConfig cfg;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  cfg.shards = 12;  // not a power of two, via the alias
-#pragma GCC diagnostic pop
-  EXPECT_THROW(svc::C2Store store(cfg), PreconditionError);
+// The slot scans of baselines/collect_scans.h after a doubling resize at
+// quiescence: the max scan agrees with the digest (write_max replay is
+// idempotent), but the sum scan counts every migrated parent's increments
+// twice — the parent keeps them and its child receives a replayed copy —
+// while counter_sum() stays the exact number of incs.
+TEST(C2StoreResize, SlotScansAfterResizeMatchMaxAndOverCountSum) {
+  // Control: only max registers hold state, so no parent count migrates and
+  // the sum scan stays exact.
+  {
+    svc::C2Store store(small_config());
+    svc::C2Session s = store.open_session();
+    for (uint64_t k = 0; k < 64; ++k) s.max_write(k, static_cast<int64_t>(k % 9));
+    ASSERT_EQ(store.resize(16), svc::ResizeStatus::kInstalled);
+    EXPECT_EQ(baselines::global_max_scan(store), store.global_max());
+    EXPECT_EQ(baselines::counter_sum_scan(store), 0);
+    EXPECT_EQ(store.counter_sum(), 0);
+  }
+  svc::C2Store store(small_config());
+  svc::C2Session s = store.open_session();
+  const int64_t incs = 64;
+  for (uint64_t k = 0; k < static_cast<uint64_t>(incs); ++k) {
+    s.max_write(k, static_cast<int64_t>(k % 9));
+    s.counter_inc(k);
+  }
+  ASSERT_EQ(store.initialized_shards(), 8) << "every initial slot materialised";
+  ASSERT_EQ(store.resize(16), svc::ResizeStatus::kInstalled);
+  EXPECT_EQ(baselines::global_max_scan(store), store.global_max());
+  EXPECT_EQ(store.counter_sum(), incs) << "the digest stays exact";
+  EXPECT_GE(baselines::counter_sum_scan(store), store.counter_sum());
+  EXPECT_GT(baselines::counter_sum_scan(store), store.counter_sum())
+      << "migrated parent counts must be counted twice by the slot scan";
+  // resize(2n) makes every old slot the parent of exactly one new slot.
+  EXPECT_EQ(baselines::counter_sum_scan(store), 2 * incs);
 }
 
 }  // namespace

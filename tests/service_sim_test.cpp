@@ -22,6 +22,7 @@
 // register instead of collecting per-process registers.
 #include <gtest/gtest.h>
 
+#include "baselines/collect_scans.h"
 #include "harness.h"
 #include "service/sim_bridge.h"
 #include "verify/lin_checker.h"
@@ -318,7 +319,7 @@ TEST(C2StoreSim, ShardCounterMayLeadTheSumDigest) {
 
 TEST(C2StoreSim, DoubleCollectScanLinSweep) {
   auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/4);
+    return std::make_shared<baselines::SimShardedMaxRegister>(w, "smax", n, /*shards=*/4);
   };
   auto gen = [](int, int, Rng& rng) {
     if (rng.next_bool(0.5)) return Invocation{"WriteMax", num(rng.next_in(0, 6)), 0};
@@ -333,7 +334,7 @@ TEST(C2StoreSim, DoubleCollectScanLinSweep) {
 
 TEST(C2StoreSim, DoubleCollectCounterLinSweep) {
   auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimShardedCounter>(w, "sctr", /*shards=*/2);
+    return std::make_shared<baselines::SimShardedCounter>(w, "sctr", /*shards=*/2);
   };
   auto gen = [](int, int, Rng& rng) {
     if (rng.next_bool(0.6)) return Invocation{"Inc", unit(), 0};
@@ -353,7 +354,7 @@ TEST(C2StoreSim, DoubleCollectCounterLinSweep) {
 // survives both. If this starts passing, the checker (or the bridge) broke.
 TEST(C2StoreSim, DoubleCollectScanNotStronglyLinearizable) {
   auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/2);
+    return std::make_shared<baselines::SimShardedMaxRegister>(w, "smax", n, /*shards=*/2);
   };
   auto scenario = testing::fixed_scenario(
       factory, {{{"ReadMax", unit(), 0}},
@@ -372,7 +373,7 @@ TEST(C2StoreSim, DoubleCollectScanNotStronglyLinearizable) {
 // digest's reason to exist would be silently erased.
 TEST(C2StoreSim, DoubleCollectCounterNotStronglyLinearizable) {
   auto factory = [](sim::World& w, int) {
-    return std::make_shared<svc::SimShardedCounter>(w, "sctr", /*shards=*/2);
+    return std::make_shared<baselines::SimShardedCounter>(w, "sctr", /*shards=*/2);
   };
   auto scenario = testing::fixed_scenario(
       factory,
@@ -510,8 +511,8 @@ TEST(C2StoreSim, SegmentPublishBeforeInitRefuted) {
 
 TEST(C2StoreSim, NaiveOnePassScanNotEvenStronglyLinearizable) {
   auto factory = [](sim::World& w, int n) {
-    return std::make_shared<svc::SimShardedMaxRegister>(w, "smax", n, /*shards=*/2,
-                                                        /*double_collect=*/false);
+    return std::make_shared<baselines::SimShardedMaxRegister>(
+        w, "smax", n, /*shards=*/2, /*double_collect=*/false);
   };
   auto scenario = testing::fixed_scenario(
       factory, {{{"ReadMax", unit(), 0}},

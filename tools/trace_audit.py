@@ -40,9 +40,10 @@ Per-lane sanity rides along: a lane is one session at a time, so its t0s
 must be non-decreasing and its journal-facet positions strictly increasing
 (snapshots may repeat a tail).
 
-Unwitnessed records (plain reads, TAS/set ops, scan-based aggregates —
-deliberately unwitnessed: the scans are not strongly linearizable) are
-exempt from ordering claims but still schema-checked.
+Unwitnessed records (plain reads, TAS/set ops) are exempt from ordering
+claims but still schema-checked. The double-collect aggregate scans of
+src/baselines/collect_scans.h are not traced at all: they are not strongly
+linearizable, so they have no own-step witness to record.
 
 A trace with dropped records (ring overflow) fails the audit unless
 --allow-drops is given, which keeps the order checks but disables every
