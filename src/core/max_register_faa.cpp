@@ -19,12 +19,9 @@ void MaxRegisterFAA::write_max(sim::Ctx& ctx, int64_t v) {
   C2SL_CHECK(ctx.self >= 0 && ctx.self < n_, "process id out of range");
   uint64_t k = static_cast<uint64_t>(v);
   uint64_t& prev = ctx.world->get(prev_local_max_).local(ctx);
-  if (k <= prev) {
-    // Not needed for correctness; gives the operation a fetch&add step to
-    // linearize at (§3.1 step 1).
-    ctx.world->get(reg_).fetch_add(ctx, BigInt(0));
-    return;
-  }
+  // A no-op write takes no step: §3.1's fetch&add(R, 0) here is "not needed
+  // for correctness", and the write linearizes at its invocation (header).
+  if (k <= prev) return;
   BigInt delta = lanes::unary_raise_delta(n_, ctx.self, prev, k);
   ctx.world->get(reg_).fetch_add(ctx, delta);
   prev = k;

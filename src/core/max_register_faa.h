@@ -3,14 +3,18 @@
 //
 // One fetch&add register R packs an n-lane bit-interleaved array; process i's
 // lane holds, in unary, the largest value i has written. WriteMax(K) raises the
-// caller's lane from its previous local maximum to K with a single fetch&add
-// (and performs fetch&add(R, 0) when K is not larger — "not needed for
-// correctness, but it simplifies the linearization proof", §3.1, and it makes
-// every operation's linearization point *its own* fetch&add step). ReadMax is
-// fetch&add(R, 0) followed by local reconstruction of the lane maxima.
+// caller's lane from its previous local maximum to K with a single fetch&add.
+// When K is not larger, §3.1 still performs fetch&add(R, 0), which the paper
+// calls "not needed for correctness, but it simplifies the linearization
+// proof"; this implementation takes no step at all there. ReadMax is one step
+// on R (a fetch&add(R, 0), natively a load) followed by local reconstruction of
+// the lane maxima.
 //
-// Linearization point of every operation: its unique fetch&add step. The
-// points are fixed steps of the operation itself, so the induced linearization
+// Linearization points: a raising WriteMax and every ReadMax at their unique
+// fetch&add step; a no-op WriteMax at its invocation, where the caller's own
+// earlier WriteMax — already linearized — holds a value >= K, so the abstract
+// state already absorbs it (docs/PROOFS.md, "Writes that cannot change the
+// state"). Every point is fixed when it occurs, so the induced linearization
 // function is prefix-closed — strong linearizability.
 #pragma once
 

@@ -13,7 +13,9 @@ size_t MultishotTAS::current_index(sim::Ctx& ctx) {
 }
 
 int64_t MultishotTAS::test_and_set(sim::Ctx& ctx) {
-  return ts_.test_and_set(ctx, current_index(ctx));
+  size_t c = current_index(ctx);
+  if (ts_.read(ctx, c) == 1) return 1;  // already set: the test&set would lose
+  return ts_.test_and_set(ctx, c);
 }
 
 int64_t MultishotTAS::read(sim::Ctx& ctx) {

@@ -3,7 +3,8 @@
 //
 // Shared state: a max register `curr` (logical value starts at 1) and an
 // infinite array TS of readable test&set objects.
-//   test&set(): return TS[curr.readMax()].test&set()
+//   test&set(): c = curr.readMax(); if TS[c].read() == 1: return 1
+//               return TS[c].test&set()
 //   read():     return TS[curr.readMax()].read()
 //   reset():    c = curr.readMax(); if TS[c].read() == 1: curr.writeMax(c+1)
 //
@@ -12,6 +13,13 @@
 // every operation that read v from curr but had not yet accessed TS[v]
 // (Thm 6 proof). Prefix-closure follows because those events are fixed once
 // they occur.
+//
+// The test&set's pre-read is not in the paper: a set cell makes the cell's
+// test&set a losing no-op, so the operation returns 1 at the read instead.
+// It linearizes at that read, or — when a Reset's curr.writeMax(c+1) came
+// between its curr read and its TS[c] read — just before that Reset, the
+// place the losing test&set would have linearized (docs/PROOFS.md, "Writes
+// that cannot change the state").
 //
 // The construction is parameterised by its two capabilities, giving the
 // paper's corollaries by substitution:

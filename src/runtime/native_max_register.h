@@ -7,12 +7,15 @@
 // "narrow fetch&add" side of the §6 width discussion.
 //
 // Thread i owns global bits i, n+i, 2n+i, ...; only the owner adds to its lane
-// bits, so fetch_add never carries across lanes. write_max of a non-larger
-// value still issues fetch_add(0), mirroring the simulated algorithm (§3.1
-// step 1). read_max is one seq_cst load of the word: a read step, not an RMW,
-// exactly the sim's FetchAddInt::read, and in the same total order S as the
-// writers' seq_cst fetch_adds (docs/PROOFS.md, "Memory orders as proof
-// obligations").
+// bits, so fetch_add never carries across lanes. write_max of a value no larger
+// than the caller's previous local maximum returns without touching the word:
+// §3.1's fetch&add(R, 0) there is "not needed for correctness, but it
+// simplifies the linearization proof", and the write linearizes at its
+// invocation (docs/PROOFS.md, "Writes that cannot change the state"), as in the
+// sim's core::MaxRegisterFAA. read_max is one seq_cst load of the word: a read
+// step, not an RMW, exactly the sim's FetchAddInt::read, and in the same total
+// order S as the writers' seq_cst fetch_adds (docs/PROOFS.md, "Memory orders as
+// proof obligations").
 #pragma once
 
 #include <atomic>
@@ -38,12 +41,7 @@ class NativeMaxRegister64 {
     C2SL_CHECK(v >= 0 && v <= max_value_, "value out of range");
     Cell& cell = prev_[static_cast<size_t>(proc)];
     uint64_t k = static_cast<uint64_t>(v);
-    if (k <= cell.prev) {
-      C2SL_TEL_PRIM_FAA();
-      // c2sl-atomic: faa seq_cst — no-op FAA(0) is still the WriteMax step
-      reg_.fetch_add(0, std::memory_order_seq_cst);
-      return;
-    }
+    if (k <= cell.prev) return;  // no-op write: linearizes at its invocation
     uint64_t delta = 0;
     for (uint64_t j = cell.prev; j < k; ++j) {
       delta |= uint64_t{1} << (j * static_cast<uint64_t>(n_) + static_cast<uint64_t>(proc));

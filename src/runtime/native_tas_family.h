@@ -1,6 +1,7 @@
 // Native (std::atomic) variants of the §4 constructions:
 //   * NativeReadableTAS     (Thm 5):  exchange-based test&set + a state word;
-//   * NativeMultishotTAS    (Thm 6):  max register + readable test&set array;
+//   * NativeMultishotTAS    (Thm 6):  max register + readable test&set array
+//                                     (a set generation's test&set is one read);
 //   * NativeFetchIncrement  (Thm 9):  least-unset search over readable test&set;
 //   * NativeSet             (Thm 10): Algorithm 2 over the above.
 //
@@ -126,9 +127,14 @@ class NativeMultishotTAS {
   NativeMultishotTAS(int n, int64_t max_resets)
       : max_resets_(max_resets), curr_(n, max_resets + 1) {}
 
+  /// Reads the generation's cell first and returns 1 when it is set: the
+  /// cell's test&set would lose without changing the state (core::MultishotTAS
+  /// does the same; docs/PROOFS.md, "Writes that cannot change the state").
   int64_t test_and_set(int proc) {
     (void)proc;
-    return ts_.test_and_set(index());
+    size_t c = index();
+    if (ts_.read(c) == 1) return 1;
+    return ts_.test_and_set(c);
   }
   int64_t read() { return ts_.read(index()); }
   void reset(int proc) {

@@ -127,7 +127,7 @@ void SimCounterSumDigest::inc(sim::Ctx& ctx) {
 }
 
 int64_t SimCounterSumDigest::read(sim::Ctx& ctx) {
-  return ctx.world->get(digest_).read(ctx);  // one FAA(0) step
+  return ctx.world->get(digest_).read(ctx);  // one read step
 }
 
 int64_t SimCounterSumDigest::read_shard(sim::Ctx& ctx, int s) {
@@ -262,7 +262,7 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
     }
     return view;
   }
-  // The FAA(0) tail read IS the snapshot: everything below is a deterministic
+  // The tail read IS the snapshot: everything below is a deterministic
   // replay of entries whose content was fixed at their ticket fetch&add.
   int64_t t_end = ctx.world->get(tail_).read(ctx);
   prim::RegArray& entries = ctx.world->get(entries_);

@@ -17,16 +17,19 @@
 //
 //   * SimGlobalMax — the digest design behind C2Store::global_max(): WriteMax
 //     routes the value to a shard register AND a single digest register;
-//     GlobalMax reads only the digest (one FAA(0) step). Strongly linearizable
-//     — the write's linearization point is its own digest step.
+//     GlobalMax reads only the digest (one read step: the sim's fetch&add(0),
+//     natively a seq_cst load). Strongly linearizable — a raising write's
+//     linearization point is its own digest step, a no-op write's its
+//     invocation.
 //
 //   * SimCounterSumDigest — the digest design behind C2Store::counter_sum()
 //     (runtime/counter_sum_digest.h): Inc lands in a per-shard Thm 9 counter
 //     AND fetch&adds one digest FAA register (shard first — the digest never
 //     leads the keyed read paths, same pinned cross-facet order as the max
-//     digest); Read is a single FAA(0) on the digest. Strongly linearizable —
-//     every Inc linearizes at its own digest FAA step, every Read at its
-//     FAA(0), fixed own-steps. This is the sum the double-collect scan CANNOT
+//     digest); Read is a single read step of the digest (FetchAddInt::read,
+//     natively a seq_cst load). Strongly linearizable — every Inc linearizes
+//     at its own digest FAA step, every Read at its read step, fixed
+//     own-steps. This is the sum the double-collect scan CANNOT
 //     provide (baselines::SimShardedCounter, pinned refuted), the §3.2
 //     pack-into-one-FAA-word move in its degenerate sum form (addition is its
 //     own combiner, so the per-process components share the accumulator).
@@ -136,13 +139,13 @@ class SimGlobalMax : public core::ConcurrentObject {
 /// header comment above). Incs route to per-shard Thm 9 counters by calling
 /// process id (like baselines::SimShardedCounter, so the two designs face
 /// identical schedules) and then take one digest FAA step; Read is one digest
-/// FAA(0).
+/// read step.
 class SimCounterSumDigest : public core::ConcurrentObject {
  public:
   SimCounterSumDigest(sim::World& world, std::string name, int shards);
 
   void inc(sim::Ctx& ctx);      ///< shard counter win, then digest fetch&add
-  int64_t read(sim::Ctx& ctx);  ///< digest FAA(0) only
+  int64_t read(sim::Ctx& ctx);  ///< one digest read step only
   /// Direct read of one shard counter ("ReadShard" under apply). Not part of
   /// the service surface — exposed so tests/service_sim_test.cpp can pin the
   /// cross-facet write order (shard first, digest second): the digest must
@@ -190,8 +193,8 @@ class SimTelemetryCounter : public core::ConcurrentObject {
 /// (runtime/keyed_version_digest.h): keyed writes land on their per-shard
 /// paper construction FIRST and then append one immutable entry to a
 /// ticket-indexed journal — the tail fetch&add IS the write's linearization
-/// point on the snapshot facet. Snap reads the tail once (FAA(0) — its own
-/// fixed step) and deterministically replays entries below that ticket into
+/// point on the snapshot facet. Snap reads the tail once (one read step — its
+/// own fixed step) and deterministically replays entries below that ticket into
 /// per-shard accumulators, polling a not-yet-deposited entry exactly like the
 /// native replayer (entry CONTENT is fixed at ticket time, so the replay is a
 /// pure function of the tail read). Xfer appends ONE entry moving value
@@ -216,7 +219,7 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   void inc(sim::Ctx& ctx, int s);                      ///< shard ctr, then journal
   void write_max(sim::Ctx& ctx, int s, int64_t v);     ///< shard reg, then journal
   void transfer(sim::Ctx& ctx, int from, int to, int64_t d);  ///< journal only
-  std::vector<int64_t> snap(sim::Ctx& ctx);  ///< tail FAA(0) + replay (or loop)
+  std::vector<int64_t> snap(sim::Ctx& ctx);  ///< tail read + replay (or loop)
   int64_t read_shard(sim::Ctx& ctx, int s);  ///< direct shard counter read
 
   std::string object_name() const override { return name_; }
@@ -232,7 +235,7 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
   std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-  sim::Handle<prim::FetchAddInt> tail_;   ///< journal tickets; FAA(0) = snapshot
+  sim::Handle<prim::FetchAddInt> tail_;   ///< journal tickets; a read = snapshot
   sim::Handle<prim::RegArray> entries_;   ///< ticket-indexed write-once entries
 };
 

@@ -36,7 +36,7 @@ namespace c2sl::tel {
 /// Per-thread primitive invocation counts. Plain data — snapshot by copy,
 /// diff by subtraction (the profiler in src/workload/engine.cpp does both).
 struct PrimCounts {
-  uint64_t faa = 0;   ///< fetch&add (incl. write_max's no-op fetch&add(0))
+  uint64_t faa = 0;   ///< fetch&add (a no-op write_max issues none)
   uint64_t tas = 0;   ///< test&set / single-use exchange
   uint64_t swap = 0;  ///< multi-use swap (exchange on a swap register)
 };

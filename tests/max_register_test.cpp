@@ -99,7 +99,9 @@ TEST(MaxRegisterFAA, LinearizableUnderCrashes) {
 }
 
 // Wait-freedom: every operation is exactly ONE base-object step regardless of
-// contention (the strongest possible step bound).
+// contention (the strongest possible step bound). Every write here raises its
+// caller's value (the first is 1 + self, not self: a WriteMax(0) is a no-op
+// write, covered by NoOpWriteTakesNoStep below).
 TEST(MaxRegisterFAA, EveryOperationIsOneStep) {
   sim::SimRun run(3);
   auto obj = std::make_shared<core::MaxRegisterFAA>(run.world, "m", 3);
@@ -109,7 +111,7 @@ TEST(MaxRegisterFAA, EveryOperationIsOneStep) {
       for (int j = 0; j < 5; ++j) {
         uint64_t before = ctx.steps_taken;
         if (j % 2 == 0) {
-          obj->write_max(ctx, 3 * j + ctx.self);
+          obj->write_max(ctx, 3 * j + ctx.self + 1);
         } else {
           obj->read_max(ctx);
         }
@@ -121,6 +123,34 @@ TEST(MaxRegisterFAA, EveryOperationIsOneStep) {
   run.sched.run(strategy, 10000);
   ASSERT_EQ(per_op_steps.size(), 15u);
   for (uint64_t s : per_op_steps) EXPECT_EQ(s, 1u);
+}
+
+// A write no larger than the caller's previous local maximum cannot change the
+// state and takes NO step: §3.1's fetch&add(R, 0) there is "not needed for
+// correctness". It linearizes at its invocation (docs/PROOFS.md). Raising
+// writes and reads stay one step each, and the register value is unchanged.
+TEST(MaxRegisterFAA, NoOpWriteTakesNoStep) {
+  sim::SimRun run(2);
+  auto obj = std::make_shared<core::MaxRegisterFAA>(run.world, "m", 2);
+  std::vector<uint64_t> steps;
+  std::vector<int64_t> reads;
+  run.sched.spawn(0, [obj, &steps, &reads](sim::Ctx& ctx) {
+    auto count = [&](auto&& op) {
+      uint64_t before = ctx.steps_taken;
+      op();
+      steps.push_back(ctx.steps_taken - before);
+    };
+    count([&] { obj->write_max(ctx, 0); });  // no-op: initial maximum is 0
+    count([&] { obj->write_max(ctx, 5); });  // raises
+    count([&] { obj->write_max(ctx, 2); });  // no-op: below own maximum
+    count([&] { obj->write_max(ctx, 5); });  // no-op: equal to own maximum
+    count([&] { reads.push_back(obj->read_max(ctx)); });
+    count([&] { obj->write_max(ctx, 6); });  // raises
+  });
+  sim::RandomStrategy strategy(3);
+  run.sched.run(strategy, 100);
+  EXPECT_EQ(steps, (std::vector<uint64_t>{0, 1, 0, 0, 1, 1}));
+  EXPECT_EQ(reads, (std::vector<int64_t>{5}));
 }
 
 // Wait-freedom under starvation: once the victim IS scheduled, its operation

@@ -9,6 +9,7 @@
 #include "runtime/native_snapshot.h"
 #include "runtime/native_tas_family.h"
 #include "runtime/stress.h"
+#include "telemetry/prim_profile.h"
 #include "util/rng.h"
 #include "verify/lin_checker.h"
 #include "verify/specs.h"
@@ -218,6 +219,51 @@ TEST(NativeMultishotTAS, GenerationsBehave) {
   tas.reset(0);
   EXPECT_EQ(tas.read(), 0);
   EXPECT_EQ(tas.test_and_set(1), 0);
+}
+
+// Writes that cannot change the state issue no RMW: the primitive counters
+// (telemetry/prim_profile.h) sit beside every runtime RMW, so a zero delta is
+// a zero RMW count on this thread.
+TEST(NativeMaxRegister, NoOpWriteIssuesNoFetchAdd) {
+  if (!tel::kEnabled) GTEST_SKIP() << "primitive counters compiled out";
+  rt::NativeMaxRegister64 reg(/*n=*/2, /*max_value=*/15);
+  auto faa_of = [](auto&& op) {
+    tel::PrimCounts before = tel::this_thread_prims();
+    op();
+    return (tel::this_thread_prims() - before).faa;
+  };
+  EXPECT_EQ(faa_of([&] { reg.write_max(0, 0); }), 0u) << "initial maximum is 0";
+  EXPECT_EQ(faa_of([&] { reg.write_max(0, 7); }), 1u) << "a raising write is one FAA";
+  EXPECT_EQ(faa_of([&] { reg.write_max(0, 7); }), 0u);
+  EXPECT_EQ(faa_of([&] { reg.write_max(0, 3); }), 0u);
+  EXPECT_EQ(faa_of([&] { (void)reg.read_max(); }), 0u) << "reads are loads";
+  // The no-op test is per caller: lane 1's own maximum is still 0.
+  EXPECT_EQ(faa_of([&] { reg.write_max(1, 3); }), 1u);
+  EXPECT_EQ(faa_of([&] { reg.write_max(0, 9); }), 1u);
+  EXPECT_EQ(reg.read_max(), 9);
+}
+
+TEST(NativeMultishotTAS, SetGenerationIssuesNoTestAndSet) {
+  if (!tel::kEnabled) GTEST_SKIP() << "primitive counters compiled out";
+  rt::NativeMultishotTAS tas(/*n=*/2, /*max_resets=*/4);
+  auto tas_of = [](auto&& op) {
+    tel::PrimCounts before = tel::this_thread_prims();
+    op();
+    return (tel::this_thread_prims() - before).tas;
+  };
+  // The first test&set also claims the cells' first segment (one more TAS,
+  // counted by the segment layer), so exact counts start after it.
+  EXPECT_EQ(tas.test_and_set(0), 0);
+  int64_t r = -1;
+  EXPECT_EQ(tas_of([&] { r = tas.test_and_set(1); }), 0u) << "set generation: a read";
+  EXPECT_EQ(r, 1);
+  EXPECT_EQ(tas_of([&] { r = tas.test_and_set(0); }), 0u);
+  EXPECT_EQ(r, 1);
+  tas.reset(1);
+  EXPECT_EQ(tas_of([&] { r = tas.test_and_set(1); }), 1u) << "the winning call";
+  EXPECT_EQ(r, 0);
+  EXPECT_EQ(tas_of([&] { r = tas.test_and_set(0); }), 0u);
+  EXPECT_EQ(r, 1);
 }
 
 TEST(NativeSet, NoItemTakenTwiceHighVolume) {

@@ -229,7 +229,7 @@ TEST(C2StoreSim, ShardRegisterMayLeadTheDigest) {
 // counter_sum() used to be the last aggregate served by a double-collect scan
 // (linearizable only — refutation pinned in section 3). It now reads a
 // CounterSumDigest: every Inc lands in its shard counter AND fetch&adds one
-// digest word; the sum read is a single FAA(0). These tests run the digest
+// digest word; the sum read is a single read step. These tests run the digest
 // design through EXACTLY the schedule family that refutes the scan-based sum
 // (DoubleCollectCounterNotStronglyLinearizable below, kept as the negative
 // control) and verify it strongly linearizable, then pin the cross-facet
@@ -255,7 +255,7 @@ TEST(C2StoreSim, CounterSumDigestIncReadRaceStronglyLinearizable) {
     return std::make_shared<svc::SimCounterSumDigest>(w, "gsum", /*shards=*/2);
   };
   // A reader interleaved with back-to-back incs on one shard: the reads must
-  // keep fixed own-step (FAA(0)) linearization points through the window
+  // keep fixed own-step (read) linearization points through the window
   // where the writer sits between its shard win and its digest step.
   auto scenario = testing::fixed_scenario(
       factory, {{{"Inc", unit(), 0}, {"Inc", unit(), 0}},

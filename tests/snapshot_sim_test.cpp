@@ -3,11 +3,12 @@
 // runtime/keyed_version_digest.h). The story, mechanically checked:
 //
 //  1. The JOURNAL snapshot — keyed writes append ticket-indexed entries, a
-//     snapshot reads the tail once (FAA(0)) and replays below it — IS strongly
-//     linearizable, on exactly the schedule families that kill per-key loops:
-//     a write landing between the reads of two keys, and two overlapping
-//     snapshots racing one writer (the prefix-closure anomaly family that
-//     also kills per-key-version double-collects; docs/PROOFS.md works it).
+//     snapshot reads the tail once (one read step) and replays below it — IS
+//     strongly linearizable, on exactly the schedule families that kill
+//     per-key loops: a write landing between the reads of two keys, and two
+//     overlapping snapshots racing one writer (the prefix-closure anomaly
+//     family that also kills per-key-version double-collects; docs/PROOFS.md
+//     works it).
 //  2. Transfers are ONE journal entry, so every snapshot conserves the
 //     transferred sum — checker-verified against the atomic Xfer spec
 //     transition AND asserted directly over every explored execution.
@@ -70,7 +71,7 @@ int64_t xfer_arg(int from, int to, int64_t d) {
 TEST(SnapshotSim, JournalSnapshotWriteBetweenReadsStronglyLinearizable) {
   // THE schedule family that tears per-key loops: a snapshot overlapping two
   // back-to-back incs on different shards. The journal version must keep a
-  // fixed own-step point (its tail FAA(0)) through every interleaving.
+  // fixed own-step point (its tail read) through every interleaving.
   auto scenario = testing::fixed_scenario(
       snap_factory(2), {{{"Snap", unit(), 0}},
                         {{"Inc", num(0), 1}, {"Inc", num(1), 1}}});
@@ -85,7 +86,7 @@ TEST(SnapshotSim, JournalSnapshotRacingSnapshotsStronglyLinearizable) {
   // snapshots racing one in-flight writer is exactly where validation-window
   // schemes (per-key version double-collects) lose prefix closure. The
   // journal design must verify here — both snapshots linearize at their own
-  // FAA(0). The writer is a transfer — the cheapest journal append (ticket
+  // tail read. The writer is a transfer — the cheapest journal append (ticket
   // fetch&add + entry write), which keeps the 3-process tree inside the node
   // budget while still exposing the drawn-ticket/undeposited-entry window
   // both replayers must poll through.

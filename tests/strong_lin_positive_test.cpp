@@ -54,6 +54,22 @@ TEST(StrongLin, Theorem1_MaxRegisterFAA) {
   EXPECT_TRUE(res.strongly_linearizable) << res.report;
 }
 
+// A no-op WriteMax (2 after the caller's own 5) takes no step and linearizes
+// at its invocation; it races a ReadMax and a concurrent WriteMax 3.
+TEST(StrongLin, Theorem1_MaxRegisterFAA_NoOpWrite) {
+  auto factory = [](sim::World& w, int n) {
+    return std::make_shared<core::MaxRegisterFAA>(w, "maxreg", n);
+  };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"WriteMax", num(5), 0}, {"WriteMax", num(2), 0}},
+                {{"ReadMax", unit(), 1}},
+                {{"WriteMax", num(3), 2}}});
+  verify::MaxRegisterSpec spec;
+  auto res = check(scenario, 3, spec, "maxreg");
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+}
+
 TEST(StrongLin, Theorem2_SnapshotFAA) {
   auto factory = [](sim::World& w, int n) {
     return std::make_shared<core::SnapshotFAA>(w, "snap", n);
@@ -120,6 +136,30 @@ TEST(StrongLin, Corollary7_MultishotTAS_Implemented) {
   auto factory = [](sim::World& w, int n) { return std::make_shared<Bundle>(w, n); };
   auto scenario = testing::fixed_scenario(
       factory, {{{"TAS", unit(), 0}, {"Reset", unit(), 0}}, {{"TAS", unit(), 1}}});
+  verify::TasSpec spec(/*multi_shot=*/true);
+  auto res = check(scenario, 2, spec, "mtas", /*max_depth=*/26, /*max_nodes=*/400000);
+  ASSERT_TRUE(res.decided);
+  EXPECT_TRUE(res.strongly_linearizable) << res.report;
+}
+
+// A TAS that arrives after a completed TAS reads the set cell and returns 1
+// without a test&set step, racing a Reset: it linearizes at that read, or
+// just before the Reset when the Reset's curr write slips in between. The
+// resetter's own TAS then races it in the next generation.
+TEST(StrongLin, Corollary7_MultishotTAS_SetCellTasRacesReset) {
+  struct Bundle : core::ConcurrentObject {
+    core::MaxRegisterFAA curr;
+    core::ReadableTasArray ts;
+    core::MultishotTAS mtas;
+    Bundle(sim::World& w, int n)
+        : curr(w, "curr", n), ts(w, "TS"), mtas("mtas", curr, ts) {}
+    std::string object_name() const override { return "mtas"; }
+    Val apply(sim::Ctx& c, const Invocation& i) override { return mtas.apply(c, i); }
+  };
+  auto factory = [](sim::World& w, int n) { return std::make_shared<Bundle>(w, n); };
+  auto scenario = testing::fixed_scenario(
+      factory, {{{"TAS", unit(), 0}, {"TAS", unit(), 0}},
+                {{"Reset", unit(), 1}, {"TAS", unit(), 1}}});
   verify::TasSpec spec(/*multi_shot=*/true);
   auto res = check(scenario, 2, spec, "mtas", /*max_depth=*/26, /*max_nodes=*/400000);
   ASSERT_TRUE(res.decided);

@@ -305,7 +305,7 @@ TEST(StoreTraceTest, AggregateReadsWitnessTheDigestValue) {
     auto op = static_cast<tel::TraceOp>(r.op);
     if (op == tel::TraceOp::kCounterSum) {
       EXPECT_EQ(r.witness, 2);
-      EXPECT_EQ(r.result, 2) << "the digest FAA(0) value IS the witness";
+      EXPECT_EQ(r.result, 2) << "the digest read's value IS the witness";
     } else if (op == tel::TraceOp::kGlobalMax) {
       EXPECT_EQ(r.witness, 5);
       EXPECT_EQ(r.result, 5);
