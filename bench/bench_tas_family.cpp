@@ -10,8 +10,10 @@
 // real-thread benchmarks of the Thm 9 fetch&increment read path over either
 //   * flat    — the retired fixed-capacity array with the O(value) ascending
 //               scan (reference implementation kept below), or
-//   * segmented — the shipped rt::NativeFetchIncrement over doubling
-//               segments, searching forward from its verified-set hint.
+//   * segmented — rt::NativeFetchIncrement, the native Thm 9 reproduction
+//               (the store itself counts with one fetch&add word), over
+//               doubling segments, searching forward from its verified-set
+//               hint.
 // Bench names are impl-agnostic ("NativeFaiRead/<value>", ...), so two runs
 // diff directly:
 //   ./bench_tas_family --impl=flat      --benchmark_filter=NativeFai --out=flat.json
@@ -19,7 +21,7 @@
 //   tools/bench_diff.py flat.json seg.json --threshold=-0.5 --metrics throughput_ops_per_s
 // The NEGATIVE threshold turns the diff into an improvement gate: CI fails
 // unless segmented beats flat by >= 50% on every entry — the claim that the
-// shipped search does not scan from zero, enforced per run.
+// Thm 9 reproduction's search does not scan from zero, enforced per run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -139,22 +139,19 @@ SimShardedCounter::SimShardedCounter(sim::World& world, std::string name, int sh
     : name_(std::move(name)), shards_(shards), double_collect_(double_collect) {
   check_power_of_two(shards);
   for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
+    ctrs_.emplace_back(world, name_ + ".ctr" + std::to_string(s));
   }
 }
 
 void SimShardedCounter::inc(sim::Ctx& ctx) {
   int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
                            static_cast<uint64_t>(shards_ - 1));
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
+  ctrs_[static_cast<size_t>(s)].fetch_and_increment(ctx);
 }
 
 int64_t SimShardedCounter::read(sim::Ctx& ctx) {
   std::vector<int64_t> view = sim_scan(shards_, double_collect_, [&](int s) {
-    return ctrs_[static_cast<size_t>(s)]->read(ctx);
+    return ctrs_[static_cast<size_t>(s)].read(ctx);
   });
   return std::accumulate(view.begin(), view.end(), int64_t{0});
 }

@@ -36,10 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "core/fetch_increment.h"
+#include "core/faa_fetch_increment.h"
 #include "core/max_register_faa.h"
 #include "core/object_api.h"
-#include "core/readable_tas.h"
 
 namespace c2sl::svc {
 class C2Store;
@@ -77,7 +76,7 @@ class SimShardedMaxRegister : public core::ConcurrentObject {
 
 /// Sim twin of counter_sum_scan: Inc routes by calling process id (so it
 /// faces the same schedules as svc::SimCounterSumDigest); Read sums a scan of
-/// the per-shard Thm 9 counters.
+/// the per-shard counter words.
 class SimShardedCounter : public core::ConcurrentObject {
  public:
   SimShardedCounter(sim::World& world, std::string name, int shards,
@@ -93,8 +92,7 @@ class SimShardedCounter : public core::ConcurrentObject {
   std::string name_;
   int shards_;
   bool double_collect_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::vector<core::FaaFetchIncrement> ctrs_;
 };
 
 }  // namespace c2sl::baselines

@@ -11,11 +11,14 @@
 // so the per-lane components can share one accumulator word outright — every
 // counter_add contributes fetch_add(1) to the same 64-bit word, and the sum
 // read is one seq_cst load of it (a read step, the sim's FetchAddInt::read;
-// no RMW). Each operation is a single hardware atomic on the word, in the one
-// total order S of seq_cst operations, i.e. a fixed own-step linearization
-// point, hence prefix-closed: strongly linearizable by construction. 63 bits
-// of total bound the digest (~9.2e18 adds — not a reachable program state),
-// so unlike the max digest there is no per-lane width budget to configure.
+// no RMW). That word is the store's one readable fetch&increment type,
+// rt::FaaFetchIncrement (runtime/native_tas_family.h), which holds the FAA
+// and load sites. Each operation is a single hardware atomic on the word, in
+// the one total order S of seq_cst operations, i.e. a fixed own-step
+// linearization point, hence prefix-closed: strongly linearizable by
+// construction. 63 bits of total bound the digest (~9.2e18 adds — not a
+// reachable program state), so unlike the max digest there is no per-lane
+// width budget to configure.
 //
 // The per-lane components are still REAL and still per-lane: each lane also
 // counts its own contributions in a private cell on a SegmentedArray spine
@@ -50,6 +53,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "runtime/native_tas_family.h"
 #include "runtime/segmented_array.h"
 #include "util/assert.h"
 
@@ -68,18 +72,13 @@ class CounterSumDigest {
     // Published to total-first readers by the total's fetch_add below.
     // c2sl-atomic: store relaxed, load relaxed — single-writer lane cell
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — linearization point of add (fixed own-step)
-    total_.fetch_add(1, std::memory_order_seq_cst);
+    total_.fetch_and_increment();  // linearization point (fixed own-step)
   }
 
   /// The digest read: one seq_cst load of the total word — wait-free,
   /// strongly linearizable (the §3.2 single-word-scan move, degenerate sum
   /// form). Acquire as well: lane cells read after it see every add it counts.
-  int64_t read() const {
-    // c2sl-atomic: load seq_cst — read step; the digest's atomic scan step
-    return total_.load(std::memory_order_seq_cst);
-  }
+  int64_t read() const { return total_.read(); }
 
   /// Contributions recorded by `lane` (diagnostics; never on the sum path).
   /// An unpublished lane segment reads as 0 — the lane has never added.
@@ -99,7 +98,7 @@ class CounterSumDigest {
   };
 
   SegmentedArray<LaneCell> lanes_;
-  std::atomic<int64_t> total_{0};
+  FaaFetchIncrement total_;
 };
 
 }  // namespace c2sl::rt

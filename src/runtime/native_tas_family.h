@@ -3,10 +3,24 @@
 //   * NativeMultishotTAS    (Thm 6):  max register + readable test&set array
 //                                     (a set generation's test&set is one read);
 //   * NativeFetchIncrement  (Thm 9):  least-unset search over readable test&set;
-//   * NativeSet             (Thm 10): Algorithm 2 over the above.
+//   * FaaFetchIncrement:              readable fetch&increment as ONE fetch&add
+//                                     word — the store's counting object;
+//   * NativeSet             (Thm 10): Algorithm 2 over FaaFetchIncrement.
 //
 // std::atomic provides the exact consensus-number-2 primitives the paper
 // assumes: exchange (test&set / swap) and fetch_add. CAS is never used.
+//
+// Thm 9 vs one word. The paper builds its readable fetch&increment from
+// test&set cells because it restricts itself to test&set. fetch&add has
+// consensus number 2 as well, and one fetch&add word already IS an atomic
+// readable fetch&increment: fetch_add(1) and a seq_cst load each linearize at
+// their own step. So the shipping store (shard counters, every NativeSet's
+// Max, the lane registry's dispenser, the counter-sum digest's total) counts
+// with FaaFetchIncrement, and Algorithm 2 stays strongly linearizable over it
+// because strong linearizability composes (docs/PROOFS.md, "Readable
+// fetch&increment as one fetch&add word"). NativeFetchIncrement remains the
+// reproduction of Thm 9, off the shipping path: its tests, stress runs and
+// bench_tas_family's flat-vs-segmented gate exercise it directly.
 //
 // Arrays are UNBOUNDED: every construction stores its cells in a
 // SegmentedArray (runtime/segmented_array.h) of lazily-published doubling
@@ -18,18 +32,19 @@
 // Two native-only refinements ride on the segmented layout; both preserve
 // strong linearizability and both are argued in docs/PROOFS.md:
 //
-//   * Fetch&increment searches forward from a verified-set hint. In the Thm 9
-//     usage the set cells always form a PREFIX [0, value): a test&set win at
-//     index i requires every cell below i to have been observed set (or lost)
-//     first, and NativeReadableTAS writes the state word on the losing path
-//     too, so a single observation of state 1 at index i certifies every
-//     index <= i. Each winning increment publishes i + 1 as the hint (a
-//     VerifiedPrefixHint, below). Both operations start at the hint h: an
-//     exponential probe (h, h+1, h+3, h+7, ... until a 0 is observed), then a
-//     binary search of the last gap. The read then makes one CONFIRMING read
-//     of the candidate v: a 0 observed at v AFTER every 1-observation below v
-//     pins the value at exactly v at that read — a fixed own step, so the
-//     linearization stays prefix-closed. Reads publish nothing.
+//   * Thm 9's fetch&increment searches forward from a verified-set hint. In
+//     the Thm 9 usage the set cells always form a PREFIX [0, value): a
+//     test&set win at index i requires every cell below i to have been
+//     observed set (or lost) first, and NativeReadableTAS writes the state
+//     word on the losing path too, so a single observation of state 1 at index
+//     i certifies every index <= i. Each winning increment publishes i + 1 as
+//     the hint (a VerifiedPrefixHint, below). Both operations start at the
+//     hint h: an exponential probe (h, h+1, h+3, h+7, ... until a 0 is
+//     observed), then a binary search of the last gap. The read then makes
+//     one CONFIRMING read of the candidate v: a 0 observed at v AFTER every
+//     1-observation below v pins the value at exactly v at that read — a
+//     fixed own step, so the linearization stays prefix-closed. Reads publish
+//     nothing.
 //
 //   * A verified-taken-prefix skip hint in NativeSet::take. A taken flag never
 //     clears, so "every cell below h was taken" is a stable fact; take()
@@ -221,6 +236,35 @@ class NativeFetchIncrement {
   VerifiedPrefixHint set_prefix_;  // advisory: cells below it verified set
 };
 
+/// Readable fetch&increment as one fetch&add word. Every operation is one
+/// seq_cst atomic step on the word — its linearization point, a fixed own
+/// step — so the object is strongly linearizable by construction, wait-free,
+/// and O(1) in time and memory (Thm 9's cell array grows by one cell per
+/// increment). Padded to a cache line so neighbouring objects never share it.
+class alignas(64) FaaFetchIncrement {
+ public:
+  FaaFetchIncrement() = default;
+
+  /// Returns the pre-increment value.
+  int64_t fetch_and_increment() { return add(1); }
+
+  /// Adds `d` (>= 0) as ONE step and returns the previous value: the
+  /// migration replay of a whole parent count (docs/PROOFS.md).
+  int64_t add(int64_t d) {
+    C2SL_TEL_PRIM_FAA();
+    // c2sl-atomic: faa seq_cst — linearization point of an increment / add
+    return w_.fetch_add(d, std::memory_order_seq_cst);
+  }
+
+  int64_t read() const {
+    // c2sl-atomic: load seq_cst — linearization point of a read; no RMW
+    return w_.load(std::memory_order_seq_cst);
+  }
+
+ private:
+  std::atomic<int64_t> w_{0};
+};
+
 namespace detail {
 /// NativeSet cell types with the right initial states for value-initialised
 /// segment construction (SegmentedArray news segments with `new T[n]()`).
@@ -285,7 +329,7 @@ class NativeSet {
   }
 
  private:
-  NativeFetchIncrement max_;
+  FaaFetchIncrement max_;
   SegmentedArray<detail::SetItemCell> items_;
   SegmentedArray<detail::SetTakenCell> ts_;
   VerifiedPrefixHint taken_prefix_;  // advisory: cells below it verified taken

@@ -166,8 +166,9 @@ ResizeStatus C2Store::resize_with_lane(int lane, int new_shards) {
 
 // Migration replay: for every NEW slot j in [old_count, new_count), fold the
 // monotone state of its parent slot (j masked down to the old count) in.
-// Idempotent by monotonicity — write_max re-merge, counter re-add, TAS
-// set-ness re-set — so racing writers that dual-apply the same state are
+// Idempotent by monotonicity — write_max re-merge, counter re-add (the whole
+// parent count as ONE add, a single fetch&add step however large the count),
+// TAS set-ness re-set — so racing writers that dual-apply the same state are
 // harmless on every VALUE facet. Old slots intentionally keep their state
 // (mask nesting makes them valid lower bounds; the duplication is why a sum
 // over the slots — baselines/collect_scans.h — over-approximates after a
@@ -184,7 +185,7 @@ void C2Store::migrate(int lane, const rt::RoutingEpoch::Claim& claim) {
     if (mx == 0 && cnt == 0 && set == 0) continue;  // nothing to move
     ShardObjects& dst = shard(j);
     if (mx > 0) dst.max.write_max(lane, mx);
-    for (int64_t i = 0; i < cnt; ++i) dst.counter.fetch_and_increment();
+    if (cnt > 0) dst.counter.add(cnt);
     if (set != 0) dst.tas.test_and_set(lane);
     C2SL_TEL_EVENT(tel::TelEvent::kKeysMigrated);
   }

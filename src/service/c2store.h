@@ -72,9 +72,12 @@
 // *name* them through hashing). Each slot lazily materialises one instance of
 // each shardable object type on first touch:
 //   * NativeMaxRegister64  (Thm 1)  — MaxRef
-//   * NativeFetchIncrement (Thm 9)  — CounterRef
+//   * FaaFetchIncrement             — CounterRef (readable fetch&increment as
+//                                     one fetch&add word; the paper's Thm 9
+//                                     construction is not on this path, see
+//                                     runtime/native_tas_family.h)
 //   * NativeMultishotTAS   (Thm 6)  — TasRef
-//   * NativeSet            (Thm 10) — SetRef
+//   * NativeSet            (Thm 10) — SetRef (Algorithm 2 over that word)
 //
 // Lazy initialisation is guarded by the paper's own readable test&set (Thm 5):
 // the winner of the slot's test&set constructs the objects and publishes them
@@ -118,7 +121,7 @@
 // cfg.initial_shards; two keys that a resize separates on the slot facet keep
 // sharing a snapshot bucket.) Counter keys snapshot to their LEDGER balance
 // (#incs + net transfers — transfers exist only on this facet, since the
-// Thm 9 counter is inc-only); max keys snapshot to the running max of
+// shard counter is inc-only); max keys snapshot to the running max of
 // journaled writes. At quiescence with no resizes: snapshot(counter k) ==
 // counter_read(k) + net transfers into k's bucket, and snapshot(max k) ==
 // max_read(k) (tests/snapshot_service_test.cpp pins both identities).
@@ -187,7 +190,7 @@ class C2Session;
 /// paths; never construct or hold one directly.
 struct ShardObjects {
   rt::NativeMaxRegister64 max;
-  rt::NativeFetchIncrement counter;
+  rt::FaaFetchIncrement counter;
   rt::NativeMultishotTAS tas;
   rt::NativeSet set;
 
@@ -270,7 +273,7 @@ class MaxRef : public detail::ShardRef {
   using ShardRef::ShardRef;
 };
 
-/// Key-bound readable fetch&increment counter (Thm 9).
+/// Key-bound readable fetch&increment counter (one fetch&add word).
 class CounterRef : public detail::ShardRef {
  public:
   inline int64_t inc();  ///< returns the pre-increment value
@@ -492,7 +495,7 @@ class C2Session {
   /// — ONE journal entry, so every snapshot sees either both sides or
   /// neither (the transfer_audit conservation invariant). Balances may go
   /// negative; a negative amount transfers the other way. Visible only on the
-  /// snapshot facet (the Thm 9 counter is inc-only). Returns the journal
+  /// snapshot facet (the shard counter is inc-only). Returns the journal
   /// ticket (diagnostics).
   inline int64_t transfer(uint64_t from_key, uint64_t to_key, int64_t amount);
   inline int64_t transfer(std::string_view from_key, std::string_view to_key,
@@ -594,7 +597,7 @@ class C2Store {
   int shard_of(std::string_view key) const { return router_.shard_of(key); }
   /// The published routing epoch (0 until the first successful resize).
   int64_t routing_epoch() const { return epochs_.current_epoch(); }
-  /// Fresh lane tickets issued so far (diagnostics).
+  /// Lanes dealt fresh so far, at most max_threads (diagnostics).
   int64_t lane_tickets_issued() const { return lanes_.tickets_issued(); }
   /// Lanes handed directly from a closing session to a blocked open_session()
   /// (diagnostics; never touched the free set).

@@ -1,6 +1,5 @@
 #include "service/lane_registry.h"
 
-#include "telemetry/prim_profile.h"
 #include "util/assert.h"
 
 namespace c2sl::svc {
@@ -12,14 +11,12 @@ int LaneRegistry::try_acquire() {
 
   // 2. Fresh ticket. The pre-read keeps the dispenser from drifting when the
   // registry is already exhausted (every failed try_acquire would otherwise
-  // burn a ticket); the fetch_add itself is still the linearization point of
-  // a successful fresh acquire — the pre-read is an optimisation, not a gate.
-  // c2sl-atomic: load seq_cst — dispenser pre-read; ordered against take()'s
-  // sweep so an exhausted registry never burns tickets
-  if (next_.load(std::memory_order_seq_cst) < max_lanes_) {
-    C2SL_TEL_PRIM_FAA();
-    // c2sl-atomic: faa seq_cst — linearization point of a fresh acquire
-    int64_t t = next_.fetch_add(1, std::memory_order_seq_cst);
+  // burn a ticket); the fetch&increment itself is still the linearization
+  // point of a successful fresh acquire — the pre-read is an optimisation, not
+  // a gate. Racing acquirers that all pass it may draw past max_lanes; those
+  // tickets deal no lane and the acquirer falls through to step 3.
+  if (next_.read() < max_lanes_) {
+    int64_t t = next_.fetch_and_increment();
     if (t < max_lanes_) return static_cast<int>(t);
   }
 

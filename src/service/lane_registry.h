@@ -9,10 +9,10 @@
 //   acquire():  1. try to recycle a freed lane: NativeSet::take() — Algorithm 2
 //                  (Thm 10), whose successful Take linearizes at its winning
 //                  test&set exchange;
-//               2. else draw a fresh ticket from a fetch&increment dispenser
-//                  (one std::atomic fetch_add — the Thm 9 object collapses to a
-//                  single hardware F&A word here because tickets are dense and
-//                  never read back); tickets below max_lanes are fresh lanes;
+//               2. else draw a fresh ticket from a readable fetch&increment
+//                  dispenser (rt::FaaFetchIncrement, one fetch&add word): a
+//                  pre-read skips the draw once tickets are spent, then one
+//                  fetch&increment; tickets below max_lanes are fresh lanes;
 //               3. on ticket exhaustion, probe the recycle set once more (a
 //                  release may have landed meanwhile) and otherwise report
 //                  "no lane free" (kNone).
@@ -37,13 +37,16 @@
 // Exchange and fetch&add only; no CAS anywhere (grep-enforced along with the
 // rest of src/service by tests/c2store_test.cpp). Every operation linearizes
 // at a fixed step of its own — the winning exchange inside take(), the
-// fetch_add of a fresh ticket, the Items write inside put(), the enqueue/hand
-// fetch&adds of the handoff queue, or (for a kNone acquire) the final
-// stabilised Max read of the failing take() — so the induced linearization is
-// prefix-closed: the registry is strongly linearizable.
+// fetch&increment of a fresh ticket, the Items write inside put(), the
+// enqueue/hand fetch&adds of the handoff queue, or (for a kNone acquire) the
+// final stabilised Max read of the failing take() — so the induced
+// linearization is prefix-closed: the registry is strongly linearizable. The
+// dispenser pre-read only decides whether to draw: tickets never decrease, so
+// a pre-read at or past max_lanes certifies that no fresh lane is left.
 // tests/lane_registry_test.cpp verifies exactly this with the bounded model
-// checker on the simulated twin (svc::SimLaneRegistry), and stress-tests the
-// native implementation for uniqueness under contention;
+// checker on the simulated twin (svc::SimLaneRegistry, which models the
+// pre-read too), and stress-tests the native implementation for uniqueness
+// under contention;
 // tests/handoff_queue_test.cpp carries the queue's own checker story
 // (enqueue/handoff facets verified, scan-order delivery refuted).
 //
@@ -59,7 +62,7 @@
 // in tests/lane_registry_test.cpp).
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -106,9 +109,13 @@ class LaneRegistry {
   void release(int lane);
 
   int max_lanes() const { return max_lanes_; }
-  /// Fresh tickets drawn so far (introspection; >= lanes ever acquired fresh).
-  // c2sl-atomic: load relaxed — diagnostics-only view of the dispenser
-  int64_t tickets_issued() const { return next_.load(std::memory_order_relaxed); }
+  /// Lanes dealt fresh so far, min(tickets drawn, max_lanes) (introspection).
+  /// Acquirers that pass the pre-read together may draw past max_lanes; a
+  /// ticket at or past it deals no lane (the acquirer falls through to the
+  /// free set), so it is not counted.
+  int64_t tickets_issued() const {
+    return std::min<int64_t>(next_.read(), max_lanes_);
+  }
 
   // --- handoff introspection (diagnostics; the stress bounds ride on these) --
   /// Waiter tickets ever enqueued by blocked acquires.
@@ -122,10 +129,8 @@ class LaneRegistry {
 
  private:
   int max_lanes_;
-  /// F&I ticket dispenser for first-acquires. Plain fetch_add — consensus
-  /// number 2 — is all this needs: tickets are handed out densely and only
-  /// their order matters, never a readable intermediate value.
-  std::atomic<int64_t> next_{0};
+  /// Readable F&I ticket dispenser for first-acquires (one fetch&add word).
+  rt::FaaFetchIncrement next_;
   /// Freed lanes awaiting recycling (Thm 10 set: put/take, no CAS, unbounded).
   rt::NativeSet free_;
   /// Blocked acquirers awaiting a direct lane handoff (FIFO, no CAS,

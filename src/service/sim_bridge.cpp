@@ -13,10 +13,7 @@ SimKeyedStore::SimKeyedStore(sim::World& world, std::string name, int n, int sha
   for (int s = 0; s < shards; ++s) {
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".s" + std::to_string(s) + ".maxreg", n));
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".s" + std::to_string(s) + ".M"));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".s" + std::to_string(s) + ".fai", *ts_.back()));
+    ctrs_.emplace_back(world, name_ + ".s" + std::to_string(s) + ".fai");
   }
 }
 
@@ -47,7 +44,7 @@ int64_t SimKeyedStore::max_read(sim::Ctx& ctx, uint64_t key) {
 int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
   int s = router_.shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "FAI", unit(), [&] {
-    return num(ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx));
+    return num(ctrs_[static_cast<size_t>(s)].fetch_and_increment(ctx));
   });
   return as_num(r);
 }
@@ -55,7 +52,7 @@ int64_t SimKeyedStore::counter_inc(sim::Ctx& ctx, uint64_t key) {
 int64_t SimKeyedStore::counter_read(sim::Ctx& ctx, uint64_t key) {
   int s = router_.shard_of(key);
   Val r = sim::record_op(ctx, ctr_object(s), "Read", unit(), [&] {
-    return num(ctrs_[static_cast<size_t>(s)]->read(ctx));
+    return num(ctrs_[static_cast<size_t>(s)].read(ctx));
   });
   return as_num(r);
 }
@@ -107,10 +104,7 @@ SimCounterSumDigest::SimCounterSumDigest(sim::World& world, std::string name,
   C2SL_CHECK(shards > 0 && (shards & (shards - 1)) == 0,
              "shard count must be a power of two");
   for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
+    ctrs_.emplace_back(world, name_ + ".ctr" + std::to_string(s));
   }
   digest_ = world.add<prim::FetchAddInt>(name_ + ".digest");
 }
@@ -122,7 +116,7 @@ void SimCounterSumDigest::inc(sim::Ctx& ctx) {
   // point of the Inc on the digest facet.
   int s = static_cast<int>(static_cast<uint64_t>(ctx.self) &
                            static_cast<uint64_t>(shards_ - 1));
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
+  ctrs_[static_cast<size_t>(s)].fetch_and_increment(ctx);
   ctx.world->get(digest_).fetch_add(ctx, 1);
 }
 
@@ -132,7 +126,7 @@ int64_t SimCounterSumDigest::read(sim::Ctx& ctx) {
 
 int64_t SimCounterSumDigest::read_shard(sim::Ctx& ctx, int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
-  return ctrs_[static_cast<size_t>(s)]->read(ctx);
+  return ctrs_[static_cast<size_t>(s)].read(ctx);
 }
 
 Val SimCounterSumDigest::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
@@ -208,10 +202,7 @@ SimKeyedSnapshot::SimKeyedSnapshot(sim::World& world, std::string name, int n,
     : name_(std::move(name)), shards_(shards), naive_loop_(naive_loop) {
   C2SL_CHECK(shards >= 1 && shards <= 8, "spec packing supports up to 8 shards");
   for (int s = 0; s < shards; ++s) {
-    ts_.push_back(std::make_unique<core::AtomicReadableTasArray>(
-        world, name_ + ".M" + std::to_string(s)));
-    ctrs_.push_back(std::make_unique<core::FetchIncrement>(
-        name_ + ".ctr" + std::to_string(s), *ts_.back()));
+    ctrs_.emplace_back(world, name_ + ".ctr" + std::to_string(s));
     regs_.push_back(std::make_unique<core::MaxRegisterFAA>(
         world, name_ + ".reg" + std::to_string(s), n));
   }
@@ -232,7 +223,7 @@ void SimKeyedSnapshot::journal_append(sim::Ctx& ctx, int kind, int a, int b,
 void SimKeyedSnapshot::inc(sim::Ctx& ctx, int s) {
   // Shard object FIRST, journal LAST — the pinned cross-facet order shared
   // with the max/sum digests: the journal never runs ahead of the keyed reads.
-  ctrs_[static_cast<size_t>(s)]->fetch_and_increment(ctx);
+  ctrs_[static_cast<size_t>(s)].fetch_and_increment(ctx);
   journal_append(ctx, 1, s, 0, 1);
 }
 
@@ -254,7 +245,7 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
     // individually fine; the VECTOR is torn by any write landing between two
     // of them — the checker refutes this (not even linearizable).
     for (int s = 0; s < shards_; ++s) {
-      view[static_cast<size_t>(s)] = ctrs_[static_cast<size_t>(s)]->read(ctx);
+      view[static_cast<size_t>(s)] = ctrs_[static_cast<size_t>(s)].read(ctx);
     }
     for (int s = 0; s < shards_; ++s) {
       view[static_cast<size_t>(shards_ + s)] =
@@ -292,7 +283,7 @@ std::vector<int64_t> SimKeyedSnapshot::snap(sim::Ctx& ctx) {
 
 int64_t SimKeyedSnapshot::read_shard(sim::Ctx& ctx, int s) {
   C2SL_CHECK(s >= 0 && s < shards_, "shard index out of range");
-  return ctrs_[static_cast<size_t>(s)]->read(ctx);
+  return ctrs_[static_cast<size_t>(s)].read(ctx);
 }
 
 Val SimKeyedSnapshot::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
@@ -321,13 +312,12 @@ Val SimKeyedSnapshot::apply(sim::Ctx& ctx, const verify::Invocation& inv) {
 // --- SimLaneRegistry --------------------------------------------------------
 
 SimLaneRegistry::SimLaneRegistry(sim::World& world, std::string name, int max_lanes)
-    : name_(std::move(name)), max_lanes_(max_lanes) {
+    : name_(std::move(name)),
+      max_lanes_(max_lanes),
+      tickets_(world, name_ + ".tickets"),
+      free_max_(world, name_ + ".fmax") {
   C2SL_CHECK(max_lanes >= 1, "need at least one lane");
-  ticket_ts_ = std::make_unique<core::AtomicReadableTasArray>(world, name_ + ".tM");
-  tickets_ = std::make_unique<core::FetchIncrement>(name_ + ".tickets", *ticket_ts_);
-  free_ts_ = std::make_unique<core::AtomicReadableTasArray>(world, name_ + ".fM");
-  free_max_ = std::make_unique<core::FetchIncrement>(name_ + ".fmax", *free_ts_);
-  free_ = std::make_unique<core::SLSet>(world, name_ + ".free", *free_max_);
+  free_ = std::make_unique<core::SLSet>(world, name_ + ".free", free_max_);
 }
 
 int64_t SimLaneRegistry::acquire(sim::Ctx& ctx) {
@@ -336,10 +326,14 @@ int64_t SimLaneRegistry::acquire(sim::Ctx& ctx) {
     //    test&set — a fixed own-step).
     Val recycled = free_->take(ctx);
     if (!std::holds_alternative<std::string>(recycled)) return recycled;
-    // 2. Fresh F&I ticket (linearizes at the winning test&set inside the
-    //    Thm 9 ascending scan).
-    int64_t t = tickets_->fetch_and_increment(ctx);
-    if (t < max_lanes_) return num(t);
+    // 2. Fresh ticket, as natively: a pre-read skips the draw once tickets
+    //    are spent, then the fetch&increment (the linearization point of a
+    //    fresh acquire). Acquirers that pass the pre-read together may draw
+    //    past max_lanes; such a ticket deals no lane.
+    if (tickets_.read(ctx) < max_lanes_) {
+      int64_t t = tickets_.fetch_and_increment(ctx);
+      if (t < max_lanes_) return num(t);
+    }
     // 3. Tickets spent; one more recycle probe. A kNone response linearizes
     //    at this Take's stabilised EMPTY point, where the free set is empty
     //    and (tickets being monotone) every lane is held.

@@ -23,7 +23,7 @@
 //     invocation.
 //
 //   * SimCounterSumDigest — the digest design behind C2Store::counter_sum()
-//     (runtime/counter_sum_digest.h): Inc lands in a per-shard Thm 9 counter
+//     (runtime/counter_sum_digest.h): Inc lands in a per-shard counter word
 //     AND fetch&adds one digest FAA register (shard first — the digest never
 //     leads the keyed read paths, same pinned cross-facet order as the max
 //     digest); Read is a single read step of the digest (FetchAddInt::read,
@@ -36,11 +36,12 @@
 //
 //   * SimLaneRegistry — the lane lifecycle behind C2Store::open_session()
 //     (service/lane_registry.h) rebuilt over the simulated constructions:
-//     Acquire tries SLSet::Take (recycle), falls back to a Thm 9
-//     fetch&increment ticket, and reports -1 only when tickets are spent and
-//     the free set stabilises empty; Release is SLSet::Put. The checker
-//     verifies acquire/release strongly linearizable against
-//     verify::LaneRegistrySpec (tests/lane_registry_test.cpp).
+//     Acquire tries SLSet::Take (recycle), falls back to a fresh ticket (the
+//     native dispenser pre-read, then its fetch&increment), and reports -1
+//     only when tickets are spent and the free set stabilises empty; Release
+//     is SLSet::Put. The checker verifies acquire/release strongly
+//     linearizable against verify::LaneRegistrySpec
+//     (tests/lane_registry_test.cpp).
 //
 //   * SimHandoffQueue — the sim twin of the FIFO handoff queue behind
 //     blocking open_session() (runtime/handoff_queue.h): waiters register by
@@ -80,10 +81,9 @@
 #include <string>
 #include <vector>
 
-#include "core/fetch_increment.h"
+#include "core/faa_fetch_increment.h"
 #include "core/max_register_faa.h"
 #include "core/object_api.h"
-#include "core/readable_tas.h"
 #include "core/sl_set.h"
 #include "primitives/faa.h"
 #include "service/shard_router.h"
@@ -108,8 +108,7 @@ class SimKeyedStore {
   std::string name_;
   ShardRouter router_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::vector<core::FaaFetchIncrement> ctrs_;  ///< one fetch&add word per shard
 };
 
 class SimGlobalMax : public core::ConcurrentObject {
@@ -136,7 +135,7 @@ class SimGlobalMax : public core::ConcurrentObject {
 };
 
 /// Sim twin of the counter-sum digest behind C2Store::counter_sum() (see
-/// header comment above). Incs route to per-shard Thm 9 counters by calling
+/// header comment above). Incs route to per-shard counter words by calling
 /// process id (like baselines::SimShardedCounter, so the two designs face
 /// identical schedules) and then take one digest FAA step; Read is one digest
 /// read step.
@@ -159,8 +158,7 @@ class SimCounterSumDigest : public core::ConcurrentObject {
  private:
   std::string name_;
   int shards_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::vector<core::FaaFetchIncrement> ctrs_;
   sim::Handle<prim::FetchAddInt> digest_;
 };
 
@@ -232,8 +230,7 @@ class SimKeyedSnapshot : public core::ConcurrentObject {
   std::string name_;
   int shards_;
   bool naive_loop_;
-  std::vector<std::unique_ptr<core::AtomicReadableTasArray>> ts_;
-  std::vector<std::unique_ptr<core::FetchIncrement>> ctrs_;
+  std::vector<core::FaaFetchIncrement> ctrs_;
   std::vector<std::unique_ptr<core::MaxRegisterFAA>> regs_;
   sim::Handle<prim::FetchAddInt> tail_;   ///< journal tickets; a read = snapshot
   sim::Handle<prim::RegArray> entries_;   ///< ticket-indexed write-once entries
@@ -259,11 +256,9 @@ class SimLaneRegistry {
  private:
   std::string name_;
   int max_lanes_;
-  std::unique_ptr<core::AtomicReadableTasArray> ticket_ts_;
-  std::unique_ptr<core::FetchIncrement> tickets_;  ///< Thm 9 F&I dispenser
-  std::unique_ptr<core::AtomicReadableTasArray> free_ts_;
-  std::unique_ptr<core::FetchIncrement> free_max_;
-  std::unique_ptr<core::SLSet> free_;              ///< Thm 10 recycle set
+  core::FaaFetchIncrement tickets_;   ///< F&I dispenser
+  core::FaaFetchIncrement free_max_;  ///< free_'s Max; declared before free_
+  std::unique_ptr<core::SLSet> free_;  ///< Thm 10 recycle set
 };
 
 /// Sim twin of rt::HandoffQueue (see header comment above). Records "Enq"

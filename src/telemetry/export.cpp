@@ -157,6 +157,8 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
   line("# TYPE c2sl_open_wait_count counter");
   line("c2sl_open_wait_count %" PRIu64, snap.open_wait.total());
 
+  line("# HELP c2sl_lane_tickets_total Lanes dealt fresh from the ticket "
+       "dispenser, at most max_threads.");
   line("# TYPE c2sl_lane_tickets_total counter");
   line("c2sl_lane_tickets_total %" PRId64, snap.lane_tickets);
   line("# TYPE c2sl_handoff_enqueued_total counter");

@@ -16,6 +16,7 @@
 #include "baselines/collect_scans.h"
 #include "service/c2store.h"
 #include "service/shard_router.h"
+#include "telemetry/telemetry.h"
 
 namespace c2sl {
 namespace {
@@ -170,14 +171,18 @@ TEST(C2Session, ClosedLanesAreRecycled) {
     for (int i = 0; i < n; ++i) wave.push_back(store.open_session());
   }  // RAII: all lanes released
   // A second full wave must succeed entirely from recycled lanes: the fresh
-  // ticket dispenser was spent by the first wave.
+  // ticket dispenser was spent by the first wave. lane_tickets_issued() is
+  // capped at max_threads, so the wave's own fetch&add count is what shows
+  // that it drew no ticket (recycling is test&set only).
   std::vector<svc::C2Session> wave2;
+  wave2.reserve(static_cast<size_t>(n));
   std::set<int> lanes;
-  for (int i = 0; i < n; ++i) {
-    wave2.push_back(store.open_session());
-    EXPECT_TRUE(lanes.insert(wave2.back().lane()).second);
-  }
-  EXPECT_EQ(store.lane_tickets_issued(), n) << "second wave must recycle, not re-ticket";
+  tel::PrimCounts before = tel::this_thread_prims();
+  for (int i = 0; i < n; ++i) wave2.push_back(store.open_session());
+  tel::PrimCounts delta = tel::this_thread_prims() - before;
+  for (const svc::C2Session& s : wave2) EXPECT_TRUE(lanes.insert(s.lane()).second);
+  if (tel::kEnabled) EXPECT_EQ(delta.faa, 0u) << "second wave must recycle, not re-ticket";
+  EXPECT_EQ(store.lane_tickets_issued(), n);
 }
 
 // --- typed key-bound refs ---------------------------------------------------

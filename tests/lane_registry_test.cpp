@@ -22,6 +22,7 @@
 #include "runtime/stress.h"
 #include "service/lane_registry.h"
 #include "service/sim_bridge.h"
+#include "telemetry/telemetry.h"
 #include "verify/specs.h"
 #include "verify/strong_lin.h"
 
@@ -62,8 +63,16 @@ TEST(LaneRegistry, ReleaseValidatesTheLane) {
 TEST(LaneRegistry, ExhaustedRegistryDoesNotBurnTickets) {
   svc::LaneRegistry reg(1);
   EXPECT_EQ(reg.try_acquire(), 0);
+  // tickets_issued() is capped at max_lanes, so it cannot see a drifting
+  // dispenser; the pre-read's guarantee is that a failed acquire draws no
+  // ticket at all, i.e. issues no fetch&add.
+  tel::PrimCounts before = tel::this_thread_prims();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(reg.try_acquire(), svc::LaneRegistry::kNone);
-  EXPECT_EQ(reg.tickets_issued(), 1) << "failed acquires must not drift the dispenser";
+  if (tel::kEnabled) {
+    EXPECT_EQ((tel::this_thread_prims() - before).faa, 0u)
+        << "failed acquires must not drift the dispenser";
+  }
+  EXPECT_EQ(reg.tickets_issued(), 1);
   reg.release(0);
   EXPECT_EQ(reg.try_acquire(), 0);
 }
@@ -145,12 +154,9 @@ TEST(LaneRegistryStress, LanesStayExclusiveUnderChurn) {
   });
   EXPECT_TRUE(ok.load()) << "a lane was held by two threads at once";
   EXPECT_GT(acquired.load(), 0);
-  // The dispenser may stay below the lane bound (recycling can satisfy every
-  // acquire after the first) and may overshoot it by at most one ticket per
-  // thread racing the exhaustion window (the pre-read gate is not atomic
-  // with the fetch_add; each thread can slip through it at most once).
+  // At least one lane was dealt fresh, and never more than max_lanes.
   EXPECT_GE(reg.tickets_issued(), 1);
-  EXPECT_LE(reg.tickets_issued(), max_lanes + threads);
+  EXPECT_LE(reg.tickets_issued(), max_lanes);
   // Quiescent: all lanes free again.
   std::set<int> drained;
   for (int i = 0; i < max_lanes; ++i) drained.insert(reg.try_acquire());

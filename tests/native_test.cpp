@@ -9,6 +9,7 @@
 #include "runtime/native_snapshot.h"
 #include "runtime/native_tas_family.h"
 #include "runtime/stress.h"
+#include "service/c2store.h"
 #include "telemetry/prim_profile.h"
 #include "util/rng.h"
 #include "verify/lin_checker.h"
@@ -264,6 +265,46 @@ TEST(NativeMultishotTAS, SetGenerationIssuesNoTestAndSet) {
   EXPECT_EQ(r, 0);
   EXPECT_EQ(tas_of([&] { r = tas.test_and_set(0); }), 0u);
   EXPECT_EQ(r, 1);
+}
+
+// The store counts with one fetch&add word: a shard counter increment and a
+// set put are one FAA and no test&set each (Thm 9's construction would spend
+// a test&set per increment), and a read issues no RMW at all.
+TEST(FaaFetchIncrement, ShardCounterAndSetPutAreOneFetchAdd) {
+  if (!tel::kEnabled) GTEST_SKIP() << "primitive counters compiled out";
+  auto prims_of = [](auto&& op) {
+    tel::PrimCounts before = tel::this_thread_prims();
+    op();
+    return tel::this_thread_prims() - before;
+  };
+  svc::ShardObjects objs{svc::C2StoreConfig{}};
+  for (int64_t i = 0; i < 3; ++i) {
+    tel::PrimCounts inc = prims_of([&] { EXPECT_EQ(objs.counter.fetch_and_increment(), i); });
+    EXPECT_EQ(inc.faa, 1u);
+    EXPECT_EQ(inc.tas, 0u);
+    EXPECT_EQ(inc.swap, 0u);
+  }
+  tel::PrimCounts read = prims_of([&] { EXPECT_EQ(objs.counter.read(), 3); });
+  EXPECT_EQ(read.faa + read.tas + read.swap, 0u) << "a read is one load";
+
+  // The first put also claims the items' first segment (a test&set counted by
+  // the segment layer), so exact counts start after it.
+  objs.set.put(0);
+  for (int64_t x = 1; x <= 3; ++x) {
+    tel::PrimCounts put = prims_of([&] { objs.set.put(x); });
+    EXPECT_EQ(put.faa, 1u);
+    EXPECT_EQ(put.tas, 0u);
+    EXPECT_EQ(put.swap, 0u);
+  }
+}
+
+TEST(FaaFetchIncrement, AddIsOneStepOfAnyCount) {
+  rt::FaaFetchIncrement fai;
+  EXPECT_EQ(fai.fetch_and_increment(), 0);
+  EXPECT_EQ(fai.add(100000), 1);
+  EXPECT_EQ(fai.read(), 100001);
+  EXPECT_EQ(fai.fetch_and_increment(), 100001);
+  EXPECT_EQ(sizeof(rt::FaaFetchIncrement), 64u) << "one padded word";
 }
 
 TEST(NativeSet, NoItemTakenTwiceHighVolume) {

@@ -13,6 +13,8 @@
 #include "baselines/collect_scans.h"
 #include "runtime/routing_epoch.h"
 #include "service/c2store.h"
+#include "service/shard_router.h"
+#include "telemetry/prim_profile.h"
 #include "telemetry/telemetry.h"
 
 namespace c2sl {
@@ -356,6 +358,36 @@ TEST(C2StoreResize, SlotScansAfterResizeMatchMaxAndOverCountSum) {
       << "migrated parent counts must be counted twice by the slot scan";
   // resize(2n) makes every old slot the parent of exactly one new slot.
   EXPECT_EQ(baselines::counter_sum_scan(store), 2 * incs);
+}
+
+// Migration replays a parent's count as ONE add on the child's counter word:
+// the child reads exactly the parent's count, and the resizing thread issues
+// the same primitives whether the parent counted 1 or 100 000 increments.
+TEST(C2StoreResize, MigrationReplaysACountAsOneAdd) {
+  // A key that moves to a new slot when 8 shards double to 16.
+  uint64_t key = 0;
+  while (svc::ShardRouter(8).shard_of(key) == svc::ShardRouter(16).shard_of(key)) ++key;
+  auto resize_prims = [&](int64_t incs, int64_t& child_reads) {
+    svc::C2Store store(small_config());
+    svc::C2Session s = store.open_session();
+    svc::CounterRef ctr = s.counter(key);
+    for (int64_t i = 0; i < incs; ++i) ctr.inc();
+    tel::PrimCounts before = tel::this_thread_prims();
+    EXPECT_EQ(store.resize(16), svc::ResizeStatus::kInstalled);
+    tel::PrimCounts delta = tel::this_thread_prims() - before;
+    EXPECT_NE(store.shard_of(key), svc::ShardRouter(8).shard_of(key));
+    child_reads = ctr.read();
+    return delta;
+  };
+  int64_t one_read = 0;
+  int64_t many_read = 0;
+  tel::PrimCounts one = resize_prims(1, one_read);
+  tel::PrimCounts many = resize_prims(100000, many_read);
+  EXPECT_EQ(one_read, 1);
+  EXPECT_EQ(many_read, 100000) << "the child key reads the parent's count";
+  EXPECT_EQ(many.faa, one.faa) << "a count migrates as one fetch&add";
+  EXPECT_EQ(many.tas, one.tas);
+  EXPECT_EQ(many.swap, one.swap);
 }
 
 }  // namespace
